@@ -230,6 +230,7 @@ func TestAppendDayIncrementalReverify(t *testing.T) {
 	legacyReg := obs.NewRegistry()
 	Dynamics{World: dynamicsWorld(sites, seed), Days: days, Legacy: true, Obs: legacyReg}.Run()
 	legacyComparisons := legacyReg.Counter("verify.comparisons").Value()
+	checkGolden(t, "reverify-12-days.json", []byte(fmt.Sprintf("{\"verify.comparisons\": %d}\n", legacyComparisons)))
 
 	reg := obs.NewRegistry()
 	en := Dynamics{World: dynamicsWorld(sites, seed), Obs: reg, SnapWindow: -1}.NewEngine()

@@ -1,6 +1,7 @@
 package experiment
 
 import (
+	"bytes"
 	"fmt"
 	"math/rand"
 	"os"
@@ -319,6 +320,11 @@ func TestCheckpointingMatchesLegacy(t *testing.T) {
 	durable := Dynamics{World: dynamicsWorld(300, 8115), Days: 6,
 		CheckpointDir: t.TempDir(), CheckpointEvery: 2}.Run()
 	diffResults(t, durable, legacy)
+	want := goldenJSON(t, legacy)
+	checkGolden(t, "dynamics-checkpointing.json", want)
+	if got := goldenJSON(t, durable); !bytes.Equal(got, want) {
+		t.Errorf("durable run differs from the golden: %s", firstDiff(want, got))
+	}
 }
 
 func TestCheckpointRequiresStreaming(t *testing.T) {
