@@ -190,7 +190,6 @@ func main() {
 			Policy:             &policy,
 			Obs:                reg,
 			SnapWindow:         cf.SnapWindow,
-			Legacy:             cf.Legacy,
 			CheckpointDir:      cf.CheckpointDir,
 			CheckpointEvery:    cf.CheckpointEvery,
 			Resume:             cf.Resume,

@@ -47,10 +47,6 @@ type CampaignFlags struct {
 	// internal/shardrun). Shards == 1 keeps the unsharded path.
 	Shards       int
 	ShardWorkers int
-	// Legacy selects the deprecated map-based batch pipeline, kept only
-	// for cross-checking the streaming engine. It supports none of the
-	// durability or daemon machinery.
-	Legacy bool
 	// Follow / MaxDays / FollowInterval control daemon mode: the campaign
 	// keeps appending collection rounds past any configured horizon,
 	// checkpointing on SIGTERM, so a `rrserve -follow` reader can tail
@@ -90,7 +86,6 @@ func RegisterCampaignFlags(fs *flag.FlagSet, snapWindowHelp string) *CampaignFla
 	fs.BoolVar(&f.Resume, "resume", false, "resume the campaign recorded in -checkpoint-dir instead of starting over (same seed and configuration required)")
 	fs.IntVar(&f.Shards, "shards", 1, "partition the population into this many deterministic shards, each an independent campaign whose results merge into one report (1 = unsharded)")
 	fs.IntVar(&f.ShardWorkers, "shard-workers", 0, "how many shard campaigns run concurrently (0 = all at once); only meaningful with -shards > 1")
-	fs.BoolVar(&f.Legacy, "legacy", false, "run the deprecated map-based batch pipeline (cross-checking only; no durability, sharding, or daemon mode)")
 	fs.BoolVar(&f.Follow, "follow", false, "daemon mode: keep appending collection rounds until SIGTERM (or -max-days), sealing each into -checkpoint-dir for rrserve -follow readers")
 	fs.IntVar(&f.MaxDays, "max-days", 0, "with -follow: stop after this many appended collection rounds (0 = run until SIGTERM)")
 	fs.DurationVar(&f.FollowInterval, "follow-interval", 0, "with -follow: pause between appended rounds (0 = append continuously)")
@@ -167,20 +162,6 @@ func (f *CampaignFlags) Validate() error {
 			f.ShardWorkers, f.Shards, f.Shards)
 		f.ShardWorkers = f.Shards
 	}
-	if f.Legacy {
-		// The legacy pipeline predates the snapstore and supports none of
-		// the machinery layered on it; rejecting here beats a panic deep
-		// inside the campaign.
-		if f.CheckpointDir != "" {
-			return fmt.Errorf("-legacy is incompatible with -checkpoint-dir (durability requires the streaming pipeline)")
-		}
-		if f.Shards > 1 {
-			return fmt.Errorf("-legacy is incompatible with -shards > 1")
-		}
-		if f.Follow {
-			return fmt.Errorf("-follow is incompatible with -legacy (daemon mode requires the streaming engine)")
-		}
-	}
 	if f.Follow {
 		if f.CheckpointDir == "" {
 			// Follow mode without a checkpoint directory would seal rounds
@@ -207,9 +188,6 @@ func (f *CampaignFlags) Validate() error {
 		return fmt.Errorf("-validate-only needs -scenario")
 	}
 	if f.Scenario != "" {
-		if f.Legacy {
-			return fmt.Errorf("-scenario is incompatible with -legacy (scenario campaigns run the streaming pipeline)")
-		}
 		if f.Shards > 1 {
 			return fmt.Errorf("-scenario is incompatible with -shards > 1 (scenario campaigns run unsharded so attack load and provenance stay in one engine)")
 		}

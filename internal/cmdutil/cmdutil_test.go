@@ -40,7 +40,6 @@ func TestCampaignFlagsValidate(t *testing.T) {
 		{name: "metrics-text", args: []string{"-metrics", "text"}},
 		{name: "metrics-json-to-file", args: []string{"-metrics", "json", "-metrics-out", "dump.json"}},
 
-		{name: "legacy", args: []string{"-legacy"}},
 		{name: "follow", args: []string{"-follow", "-checkpoint-dir", "ckpt"}},
 		{name: "follow-bounded", args: []string{"-follow", "-checkpoint-dir", "ckpt", "-max-days", "3"}},
 		{name: "follow-throttled", args: []string{"-follow", "-checkpoint-dir", "ckpt", "-follow-interval", "5s"}},
@@ -59,9 +58,6 @@ func TestCampaignFlagsValidate(t *testing.T) {
 
 		// Daemon-mode combinations a later stage would only reject after
 		// hours of campaign work — all must fail at flag validation.
-		{name: "legacy-checkpoint", args: []string{"-legacy", "-checkpoint-dir", "ckpt"}, wantErr: "-legacy is incompatible with -checkpoint-dir"},
-		{name: "legacy-sharded", args: []string{"-legacy", "-shards", "2"}, wantErr: "-legacy is incompatible with -shards > 1"},
-		{name: "legacy-follow", args: []string{"-legacy", "-follow"}, wantErr: "-follow is incompatible with -legacy"},
 		{name: "follow-without-dir", args: []string{"-follow"}, wantErr: "-follow requires -checkpoint-dir"},
 		{name: "follow-sharded", args: []string{"-follow", "-checkpoint-dir", "ckpt", "-shards", "2"}, wantErr: "-follow is incompatible with -shards > 1"},
 		{name: "negative-max-days", args: []string{"-follow", "-checkpoint-dir", "ckpt", "-max-days", "-1"}, wantErr: "-max-days must be at least 1"},

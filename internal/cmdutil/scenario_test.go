@@ -54,8 +54,6 @@ func TestScenarioFlagValidation(t *testing.T) {
 
 		{name: "validate-only-without-scenario", args: []string{"-validate-only"},
 			wantErr: "-validate-only needs -scenario"},
-		{name: "scenario-plus-legacy", args: []string{"-scenario", paperBaseline, "-legacy"},
-			wantErr: "-scenario is incompatible with -legacy"},
 		{name: "scenario-plus-shards", args: []string{"-scenario", paperBaseline, "-shards", "4"},
 			wantErr: "-scenario is incompatible with -shards"},
 		// The conflict error must name both the scenario file and the flag.

@@ -178,8 +178,9 @@ type Dynamics struct {
 	// run.
 	TopCut int
 	// KeepMultiCDN disables the automatic exclusion of detected multi-CDN
-	// front-end customers (see DetectMultiCDN). The paper excludes them
-	// (§IV-B.3); keep them only to demonstrate the SWITCH noise they add.
+	// front-end customers (see DetectMultiCDNStream). The paper excludes
+	// them (§IV-B.3); keep them only to demonstrate the SWITCH noise they
+	// add.
 	KeepMultiCDN bool
 	// LongIntervalProb makes some snapshot gaps two days instead of one,
 	// modelling the paper's uneven 20-30h experiment intervals. Longer
@@ -201,25 +202,17 @@ type Dynamics struct {
 	// stage counters from the collector and verifier, dns.* resilience
 	// counters from the resolver, and per-day spans.
 	Obs *obs.Registry
-	// SnapWindow bounds the streaming pipeline's snapshot retention, in
-	// days. Zero keeps the default of 2 — the current day plus the previous
-	// day that DiffPairs and the Table V verification look back to — so
+	// SnapWindow bounds the snapshot store's retention, in days. Zero
+	// keeps the default of 2 — the current day plus the previous day
+	// that DiffPairs and the Table V verification look back to — so
 	// retained memory stays flat no matter how long the campaign runs.
 	// Values below 2 are raised to 2; negative retains every day (useful
-	// when the caller wants to replay the campaign afterwards). Ignored by
-	// Legacy.
+	// when the caller wants to replay the campaign afterwards).
 	SnapWindow int
-	// Legacy runs the original map-based pipeline that materializes each
-	// day as a full collect.Snapshot. It exists so TestStreamingMatchesLegacy
-	// can pin the streaming pipeline's outputs against it; new code should
-	// leave it false, and the flag goes away once the legacy adapter is
-	// retired.
-	Legacy bool
 	// CheckpointDir, when non-empty, makes the campaign durable: every
 	// day is teed into a write-ahead log in the directory, and a full
 	// checkpoint (store + campaign cursor) is written every
-	// CheckpointEvery world days — see internal/snapdisk. Requires the
-	// streaming pipeline (Legacy must be false).
+	// CheckpointEvery world days — see internal/snapdisk.
 	CheckpointDir string
 	// CheckpointEvery is the full-checkpoint cadence in world days.
 	// Zero means 7.
@@ -252,7 +245,7 @@ type Dynamics struct {
 	// live consumer (the lookup service) sees exactly what a
 	// checkpoint-loaded one would. The hook runs on the campaign
 	// goroutine between Seal and the next BeginDay; the view and blob
-	// stay valid after it returns. Requires the streaming pipeline.
+	// stay valid after it returns.
 	OnSeal func(*snapstore.View, []byte)
 }
 
@@ -260,24 +253,9 @@ type Dynamics struct {
 // chains; the paper names Cedexis as the canonical example.
 var _multiCDNSubstrings = []string{"cedexis"}
 
-// DetectMultiCDN returns the apexes whose CNAME chains run through a
-// multi-CDN front-end in the given snapshot.
-func DetectMultiCDN(snap collect.Snapshot) []dnsmsg.Name {
-	var out []dnsmsg.Name
-	for apex, rec := range snap.Records {
-		for _, target := range rec.CNAMEs {
-			for _, sub := range _multiCDNSubstrings {
-				if target.ContainsSubstring(sub) {
-					out = append(out, apex)
-				}
-			}
-		}
-	}
-	return out
-}
-
-// DetectMultiCDNStream is DetectMultiCDN over a record stream (a snapstore
-// cursor): same substring matching, one record in memory at a time.
+// DetectMultiCDNStream returns the apexes whose CNAME chains run through
+// a multi-CDN front-end in a record stream (a snapstore cursor), one
+// record in memory at a time.
 func DetectMultiCDNStream(src status.RecordSource) []dnsmsg.Name {
 	var out []dnsmsg.Name
 	for src.Next() {
@@ -292,32 +270,36 @@ func DetectMultiCDNStream(src status.RecordSource) []dnsmsg.Name {
 	return out
 }
 
-// Run executes the campaign. The world's clock advances Days days.
+// Run executes the campaign; the world's clock advances Days days (more
+// under long-interval jitter). Every day is collected straight into a
+// delta-encoded snapstore.Store and consumed through a DiffPairs cursor,
+// so retained memory is bounded by SnapWindow instead of growing with
+// the campaign.
 //
-// By default the campaign runs the streaming snapstore pipeline: every day
-// is collected straight into a delta-encoded snapstore.Store and consumed
-// through a DiffPairs cursor, so retained memory is bounded by SnapWindow
-// instead of growing with the campaign. Legacy selects the original
-// map-based pipeline; both produce value-identical results, pinned by
-// TestStreamingMatchesLegacy.
+// Run is the incremental engine driven to the configured horizon:
+// NewEngine absorbs the persistence/recovery setup, each loop turn
+// appends exactly one day, and a final forced checkpoint seals the
+// campaign. Batch and daemon callers therefore share every line of
+// per-day logic — the append≡batch equivalence suite leans on that.
 func (d Dynamics) Run() DynamicsResult {
 	if d.World == nil || d.Days <= 0 {
 		panic("experiment: Dynamics requires World and positive Days")
 	}
-	if d.CheckpointDir != "" && d.Legacy {
-		panic("experiment: checkpointing requires the streaming pipeline (Legacy must be false)")
+	en := d.NewEngine()
+	defer en.Close()
+	appended := 0
+	for en.nextDay < d.Days {
+		en.AppendDay()
+		appended++
+		if d.StopAfterDays > 0 && appended >= d.StopAfterDays && en.nextDay < d.Days {
+			return en.res // simulated kill; the partial result is not meaningful
+		}
 	}
-	if d.OnSeal != nil && d.Legacy {
-		panic("experiment: OnSeal requires the streaming pipeline (Legacy must be false)")
-	}
-	e := d.setup()
-	if d.Legacy {
-		return d.runLegacy(e)
-	}
-	return d.runStreaming(e)
+	en.Checkpoint()
+	return en.Result()
 }
 
-// dynamicsEnv is the wiring shared by the legacy and streaming pipelines.
+// dynamicsEnv is the campaign wiring the engine runs on.
 type dynamicsEnv struct {
 	w          *world.World
 	resolver   *dnsresolver.Resolver
@@ -406,55 +388,7 @@ func (d Dynamics) finish(res *DynamicsResult, e *dynamicsEnv, tracker *behavior.
 	res.Sidelined = e.resolver.Health().Sidelined()
 }
 
-// runLegacy is the original map-based pipeline: each day materializes a
-// full collect.Snapshot, and the previous day's map is retained for the
-// Table V lookups.
-func (d Dynamics) runLegacy(e *dynamicsEnv) DynamicsResult {
-	res := DynamicsResult{Days: d.Days, Unchanged: make(map[dps.ProviderKey]*UnchangedRow)}
-	var tracker *behavior.Tracker // built after the first snapshot (multi-CDN detection)
-	var prevSnap collect.Snapshot
-
-	for day := 0; day < d.Days; day++ {
-		daySpan := d.Obs.Tracer().StartSpan("day", fmt.Sprintf("day %d", day))
-		daySpan.SetItems(len(e.domains))
-		snap := e.collector.Collect(day)
-		classified := e.classifier.ClassifySnapshot(snap)
-
-		if tracker == nil {
-			excluded := append([]dnsmsg.Name(nil), d.Excluded...)
-			if !d.KeepMultiCDN {
-				excluded = append(excluded, DetectMultiCDN(snap)...)
-			}
-			tracker = behavior.NewTracker(excluded)
-		}
-		res.Breakdowns = append(res.Breakdowns, breakdown(day, snap, classified, e.topCut))
-
-		detections := tracker.Observe(day, validAdoptions(snap, classified))
-		// Table V: verify origin-IP hygiene for JOIN and RESUME (§IV-C.3
-		// explicitly excludes SWITCH).
-		for _, det := range detections {
-			if det.Kind != behavior.Join && det.Kind != behavior.Resume {
-				continue
-			}
-			if prevSnap.Records == nil {
-				continue // day 0: no previous snapshot yet
-			}
-			pr := snapstore.Pair{Apex: det.Apex}
-			pr.Prev, pr.PrevOK = prevSnap.Records[det.Apex]
-			pr.Cur, pr.CurOK = snap.Records[det.Apex]
-			d.verifyDetection(&res, e.verifier, pr, det)
-		}
-
-		prevSnap = snap
-		d.advance(e.w)
-		daySpan.End()
-	}
-
-	d.finish(&res, e, tracker, dnsresolver.QueryStats{})
-	return res
-}
-
-// window resolves SnapWindow for the streaming pipeline.
+// window resolves SnapWindow.
 func (d Dynamics) window() int {
 	switch {
 	case d.SnapWindow < 0:
@@ -466,57 +400,9 @@ func (d Dynamics) window() int {
 	}
 }
 
-// runStreaming is the one-pass snapstore pipeline, expressed as the
-// incremental engine driven to the configured horizon: NewEngine absorbs
-// the persistence/recovery setup, each loop turn appends exactly one day,
-// and a final forced checkpoint seals the campaign. Batch and daemon
-// callers therefore share every line of per-day logic — the append≡batch
-// equivalence suite leans on that.
-func (d Dynamics) runStreaming(e *dynamicsEnv) DynamicsResult {
-	en := d.newEngine(e)
-	defer en.Close()
-	appended := 0
-	for en.nextDay < d.Days {
-		en.AppendDay()
-		appended++
-		if d.StopAfterDays > 0 && appended >= d.StopAfterDays && en.nextDay < d.Days {
-			return en.res // simulated kill; the partial result is not meaningful
-		}
-	}
-	en.Checkpoint()
-	return en.Result()
-}
-
-// validAdoptions drops records whose resolution failed — in full OR in
-// part — so transient failures cannot read as behaviours (a lost A answer
-// would demote ON to NONE and fabricate a LEAVE; a lost NS answer would
-// demote OFF to NONE), and skips footnote-6 shared-IP suspects.
-func validAdoptions(snap collect.Snapshot, classified map[dnsmsg.Name]status.Adoption) map[dnsmsg.Name]status.Adoption {
-	out := make(map[dnsmsg.Name]status.Adoption, len(classified))
-	for apex, adoption := range classified {
-		rec := snap.Records[apex]
-		if !rec.ResolveOK || !rec.NSOK {
-			continue
-		}
-		if adoption.SharedIPSuspect {
-			continue
-		}
-		out[apex] = adoption
-	}
-	return out
-}
-
-func breakdown(day int, snap collect.Snapshot, classified map[dnsmsg.Name]status.Adoption, topCut int) AdoptionBreakdown {
-	b := AdoptionBreakdown{Day: day, ByProvider: make(map[dps.ProviderKey]int)}
-	for apex, adoption := range classified {
-		b.accum(snap.Records[apex], adoption, topCut)
-	}
-	return b
-}
-
-// accum folds one classified record into the Fig. 2 counters. Both
-// pipelines share it — every field is an order-independent sum, which is
-// what keeps the map-based and streaming breakdowns value-identical.
+// accum folds one classified record into the Fig. 2 counters. Every
+// field is an order-independent sum, so the breakdown does not depend
+// on the order records stream in.
 func (b *AdoptionBreakdown) accum(rec collect.Record, adoption status.Adoption, topCut int) {
 	b.Population++
 	if rec.Domain.Rank <= topCut {
@@ -542,9 +428,8 @@ func (b *AdoptionBreakdown) accum(rec collect.Record, adoption status.Adoption, 
 
 // verifyDetection implements the §IV-C.3 three-step IP1/IP2 procedure
 // over a diff pair: the record versions on either side of the detected
-// action, read straight off the snapstore diff stream (streaming
-// pipeline) or assembled from the retained snapshot maps (legacy). The
-// provider's Table V row is created before the record lookups can bail.
+// action, read straight off the snapstore diff stream. The provider's
+// Table V row is created before the record lookups can bail.
 func (d Dynamics) verifyDetection(res *DynamicsResult, verifier *htmlverify.Verifier, pr snapstore.Pair, det behavior.Detection) {
 	provider := det.To
 	row := res.Unchanged[provider]

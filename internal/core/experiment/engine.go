@@ -22,8 +22,7 @@ import (
 // needed, Checkpoint before a planned shutdown, Close when done. Run is
 // itself implemented as "NewEngine + loop + Result", so the batch and
 // incremental paths cannot drift — they are the same code, which is what
-// the append≡batch equivalence suite (incremental_test.go) pins, in the
-// spirit of TestStreamingMatchesLegacy.
+// the append≡batch equivalence suite (incremental_test.go) pins.
 //
 // The engines are what the -follow daemon mode in cmd/dpsmeasure and
 // cmd/rrscan is built on: the campaign horizon (Days / Weeks) bounds
@@ -68,9 +67,6 @@ func (d Dynamics) NewEngine() *DynamicsEngine {
 	}
 	if d.Days < 0 {
 		panic("experiment: Dynamics.Days must not be negative")
-	}
-	if d.Legacy {
-		panic("experiment: the incremental engine requires the streaming pipeline (Legacy must be false)")
 	}
 	return d.newEngine(d.setup())
 }
@@ -341,9 +337,6 @@ func (r Residual) NewEngine() *ResidualEngine {
 	if r.Weeks < 0 {
 		panic("experiment: Residual.Weeks must not be negative")
 	}
-	if r.Legacy {
-		panic("experiment: the incremental engine requires the streaming pipeline (Legacy must be false)")
-	}
 	if r.CheckpointDir != "" && r.ProviderAudit {
 		panic("experiment: checkpointing is incompatible with ProviderAudit (audits mutate provider state a rebuilt world cannot replay)")
 	}
@@ -434,9 +427,9 @@ func (en *ResidualEngine) WorldDay() int { return en.e.w.Day() }
 // Rounds returns how many rounds this process has appended.
 func (en *ResidualEngine) Rounds() int { return en.rounds }
 
-// collectRound streams one collection round into the store (same
-// queries, same order as the legacy Collect) and returns its day label
-// for cursor replay. With persistence, the records tee into the WAL.
+// collectRound streams one collection round into the store (the same
+// queries in the same order as collect.Collector.Collect) and returns
+// its day label for cursor replay. With persistence, the records tee into the WAL.
 func (en *ResidualEngine) collectRound() int {
 	day := en.e.w.Day()
 	dw := en.store.BeginDay(day)

@@ -16,10 +16,10 @@ import (
 
 // The campaign goldens under testdata/golden pin every output field of
 // both campaign kinds at fixed seeds and configurations. They were
-// written by the original map-based pipeline, so they carry its outputs
-// forward as the reference the single streaming pipeline must keep
-// reproducing. Rewrite them only for a deliberate change of campaign
-// semantics:
+// written by the original map-based pipeline that materialized each day
+// as a full collect.Snapshot, so they carry its outputs forward as the
+// reference the snapstore pipeline must keep reproducing. Rewrite them
+// only for a deliberate change of campaign semantics:
 //
 //	go test ./internal/core/experiment -run 'Golden|Reverify|CheckpointingMatches' -update
 var updateGolden = flag.Bool("update", false, "rewrite golden files")
@@ -109,55 +109,47 @@ func firstDiff(want, got []byte) string {
 // parallel Residual one.
 var goldenCampaigns = []struct {
 	name string
-	run  func(legacy bool) any
+	run  func() any
 	skip []string
 }{
-	{name: "dynamics-42-days", run: func(legacy bool) any {
-		return Dynamics{World: dynamicsWorld(400, 4242), Days: 42, Legacy: legacy}.Run()
+	{name: "dynamics-42-days", run: func() any {
+		return Dynamics{World: dynamicsWorld(400, 4242), Days: 42}.Run()
 	}},
-	{name: "dynamics-long-intervals-parallel", skip: []string{"Stats"}, run: func(legacy bool) any {
+	{name: "dynamics-long-intervals-parallel", skip: []string{"Stats"}, run: func() any {
 		return Dynamics{
 			World:            dynamicsWorld(300, 777),
 			Days:             20,
 			Workers:          4,
 			LongIntervalProb: 0.3,
 			Rand:             rand.New(rand.NewSource(7)),
-			Legacy:           legacy,
 		}.Run()
 	}},
-	{name: "residual-6-weeks", run: func(legacy bool) any {
+	{name: "residual-6-weeks", run: func() any {
 		return Residual{
 			World:              residualWorld(400, 4242),
 			Weeks:              6,
 			WarmupDays:         21,
 			IncapsulaStartWeek: 4,
-			Legacy:             legacy,
 		}.Run()
 	}},
-	{name: "residual-parallel", skip: []string{"Stats"}, run: func(legacy bool) any {
+	{name: "residual-parallel", skip: []string{"Stats"}, run: func() any {
 		return Residual{
 			World:      residualWorld(300, 77),
 			Weeks:      3,
 			WarmupDays: 14,
 			Workers:    4,
-			Legacy:     legacy,
 		}.Run()
 	}},
 }
 
 // TestCampaignMatchesGolden pins every campaign output — breakdowns,
 // detections, pause windows, Table V rows, weekly reports, exposure
-// timelines, and (serially) the resolver's resilience accounting — to
-// the goldens, for both pipelines.
+// timelines, and (serially) the resolver's resilience accounting, which
+// requires the same queries in the same order — to the goldens.
 func TestCampaignMatchesGolden(t *testing.T) {
 	for _, c := range goldenCampaigns {
 		t.Run(c.name, func(t *testing.T) {
-			legacy := goldenJSON(t, c.run(true), c.skip...)
-			checkGolden(t, c.name+".json", legacy)
-			streaming := goldenJSON(t, c.run(false), c.skip...)
-			if !bytes.Equal(streaming, legacy) {
-				t.Errorf("streaming pipeline differs from the golden: %s", firstDiff(legacy, streaming))
-			}
+			checkGolden(t, c.name+".json", goldenJSON(t, c.run(), c.skip...))
 		})
 	}
 }

@@ -115,19 +115,16 @@ func BenchmarkDynamicsMemory(b *testing.B) {
 	}
 }
 
-// BenchmarkDynamicsRun times the full streaming campaign end to end (the
-// legacy pipeline rides along for comparison).
+// BenchmarkDynamicsRun times the full campaign end to end.
 func BenchmarkDynamicsRun(b *testing.B) {
-	run := func(b *testing.B, legacy bool) {
+	b.Run("streaming", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			b.StopTimer()
 			w := dynamicsWorld(300, 4242)
 			b.StartTimer()
-			Dynamics{World: w, Days: 10, Legacy: legacy}.Run()
+			Dynamics{World: w, Days: 10}.Run()
 		}
-	}
-	b.Run("streaming", func(b *testing.B) { run(b, false) })
-	b.Run("legacy", func(b *testing.B) { run(b, true) })
+	})
 }
 
 // BenchmarkAppendDay times the incremental engine's steady state: one

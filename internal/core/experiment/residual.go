@@ -102,24 +102,18 @@ type Residual struct {
 	// stage counters from every component, dns.* resilience counters from
 	// the shared resolver and each vantage client, and per-week spans.
 	Obs *obs.Registry
-	// SnapWindow bounds the streaming pipeline's snapshot retention, in
-	// days (really: in collection rounds — the campaign collects once per
-	// warm-up step and once per week). Zero keeps the default of 1: only
-	// the current round's snapshot is ever read, so nothing older needs to
-	// stay replayable. Negative retains every round. Ignored by Legacy.
+	// SnapWindow bounds the snapshot store's retention, in days (really:
+	// in collection rounds — the campaign collects once per warm-up step
+	// and once per week). Zero keeps the default of 1: only the current
+	// round's snapshot is ever read, so nothing older needs to stay
+	// replayable. Negative retains every round.
 	SnapWindow int
-	// Legacy runs the original map-based pipeline that materializes each
-	// collection round as a full collect.Snapshot. It exists so
-	// TestStreamingMatchesLegacy can pin the streaming pipeline's outputs
-	// against it; new code should leave it false.
-	Legacy bool
 	// CheckpointDir, when non-empty, makes the campaign durable: every
 	// collection round is teed into a write-ahead log in the directory,
 	// and a full checkpoint (store + campaign cursor) is written every
-	// CheckpointEvery world days — see internal/snapdisk. Requires the
-	// streaming pipeline, and is incompatible with ProviderAudit (the
-	// audit mutates provider state through queries that a rebuilt world
-	// cannot replay).
+	// CheckpointEvery world days — see internal/snapdisk. Incompatible
+	// with ProviderAudit (the audit mutates provider state through
+	// queries that a rebuilt world cannot replay).
 	CheckpointDir string
 	// CheckpointEvery is the full-checkpoint cadence in world days.
 	// Zero means 7 (one checkpoint per weekly round).
@@ -158,39 +152,39 @@ type Residual struct {
 	// live consumer (the lookup service) sees exactly what a
 	// checkpoint-loaded one would. The hook runs on the campaign
 	// goroutine between Seal and the next BeginDay; the view and blob
-	// stay valid after it returns. Requires the streaming pipeline.
+	// stay valid after it returns.
 	OnSeal func(*snapstore.View, []byte)
 }
 
-// Run executes the campaign. The world's clock advances Weeks*7 days.
+// Run executes the campaign; the world's clock advances WarmupDays +
+// Weeks*7 days. Each collection round streams into a delta-encoded
+// snapstore.Store and a single cursor pass feeds every snapshot consumer
+// (the Incapsula CNAME library and the week's nameserver discovery).
 //
-// By default the campaign runs the streaming snapstore pipeline: each
-// collection round streams into a delta-encoded snapstore.Store and a
-// single cursor pass feeds every snapshot consumer (the Incapsula CNAME
-// library and the week's nameserver discovery). Legacy selects the
-// original map-based pipeline; both produce value-identical results,
-// pinned by TestStreamingMatchesLegacy.
+// Run is the incremental engine driven to the configured horizon:
+// NewEngine absorbs the persistence/recovery setup, each loop turn
+// appends exactly one collection round (warm-up step or scan week), and
+// a final forced checkpoint seals the campaign. Batch and daemon callers
+// therefore share every line of per-round logic.
 func (r Residual) Run() ResidualResult {
 	if r.World == nil || r.Weeks <= 0 {
 		panic("experiment: Residual requires World and positive Weeks")
 	}
-	if r.CheckpointDir != "" && r.Legacy {
-		panic("experiment: checkpointing requires the streaming pipeline (Legacy must be false)")
+	en := r.NewEngine()
+	defer en.Close()
+	for en.warmupRemaining > 0 || en.nextWeek <= r.Weeks {
+		// The final scan week checkpoints regardless of StopAfterRounds.
+		final := en.warmupRemaining == 0 && en.nextWeek == r.Weeks
+		en.AppendRound()
+		if r.StopAfterRounds > 0 && en.rounds >= r.StopAfterRounds && !final {
+			return en.res // simulated kill; the partial result is not meaningful
+		}
 	}
-	if r.OnSeal != nil && r.Legacy {
-		panic("experiment: OnSeal requires the streaming pipeline (Legacy must be false)")
-	}
-	if r.CheckpointDir != "" && r.ProviderAudit {
-		panic("experiment: checkpointing is incompatible with ProviderAudit (audits mutate provider state a rebuilt world cannot replay)")
-	}
-	e := r.setup()
-	if r.Legacy {
-		return r.runLegacy(e)
-	}
-	return r.runStreaming(e)
+	en.Checkpoint()
+	return en.Result()
 }
 
-// residualEnv is the wiring shared by the legacy and streaming pipelines.
+// residualEnv is the campaign wiring the engine runs on.
 type residualEnv struct {
 	w         *world.World
 	resolver  *dnsresolver.Resolver
@@ -285,9 +279,9 @@ func (r Residual) audit(e *residualEnv) {
 	}
 }
 
-// scanWeek runs the part of one weekly round that is identical in both
-// pipelines: the Cloudflare direct scan + filter, and the Incapsula
-// CNAME-library re-resolution + filter.
+// scanWeek runs the measurement half of one weekly round: the Cloudflare
+// direct scan + filter, and the Incapsula CNAME-library re-resolution +
+// filter.
 func (r Residual) scanWeek(res *ResidualResult, e *residualEnv, week int, nsAddrs []netip.Addr) {
 	// Cloudflare case study: direct scan of all domains.
 	scanned := e.scanner.ScanDirect(nsAddrs, e.domains)
@@ -319,59 +313,7 @@ func (r Residual) finish(res *ResidualResult, e *residualEnv, base dnsresolver.Q
 	res.Sidelined = mergeSidelined(e.resolver.Health().Sidelined(), e.scanner.Sidelined())
 }
 
-// runLegacy is the original map-based pipeline: each collection round
-// materializes a full collect.Snapshot for its consumers.
-func (r Residual) runLegacy(e *residualEnv) ResidualResult {
-	w := e.w
-	res := ResidualResult{
-		Weeks:       r.Weeks,
-		CFExposure:  exposure.NewTracker(),
-		IncExposure: exposure.NewTracker(),
-	}
-
-	// Warm-up: age the world so the first scan already sees residue, and
-	// feed the CNAME library weekly along the way.
-	var warmupSpan *obs.Span
-	if r.WarmupDays > 0 {
-		warmupSpan = r.Obs.Tracer().StartSpan("warmup", fmt.Sprintf("%d days", r.WarmupDays))
-	}
-	for remaining := r.WarmupDays; remaining > 0; {
-		e.cnameLib.AddSnapshot(e.collector.Collect(w.Day()))
-		warmupSpan.AddItems(len(e.domains))
-		step := 7
-		if remaining < step {
-			step = remaining
-		}
-		w.AdvanceDays(step)
-		remaining -= step
-	}
-	warmupSpan.End()
-
-	for week := 1; week <= r.Weeks; week++ {
-		weekSpan := r.Obs.Tracer().StartSpan("week", fmt.Sprintf("week %d", week))
-		weekSpan.SetItems(len(e.domains))
-		r.audit(e)
-		// Collect a fresh snapshot at the start of the week; it feeds
-		// nameserver discovery and the Incapsula CNAME library.
-		snap := e.collector.Collect(w.Day())
-		e.cnameLib.AddSnapshot(snap)
-
-		nsHosts, nsAddrs := rrscan.DiscoverNameservers([]collect.Snapshot{snap}, e.cfProfile, e.resolver)
-		res.addWeekHosts(week, nsHosts)
-
-		r.floodWeek(e, week, nsAddrs)
-		r.scanWeek(&res, e, week, nsAddrs)
-
-		// A week of usage dynamics between scans.
-		w.AdvanceDays(7)
-		weekSpan.End()
-	}
-
-	r.finish(&res, e, dnsresolver.QueryStats{})
-	return res
-}
-
-// window resolves SnapWindow for the streaming pipeline.
+// window resolves SnapWindow.
 func (r Residual) window() int {
 	switch {
 	case r.SnapWindow < 0:
@@ -381,28 +323,6 @@ func (r Residual) window() int {
 	default:
 		return r.SnapWindow
 	}
-}
-
-// runStreaming is the snapstore pipeline, expressed as the incremental
-// engine driven to the configured horizon: NewEngine absorbs the
-// persistence/recovery setup, each loop turn appends exactly one
-// collection round (warm-up step or scan week), and a final forced
-// checkpoint seals the campaign. Batch and daemon callers therefore
-// share every line of per-round logic.
-func (r Residual) runStreaming(e *residualEnv) ResidualResult {
-	en := r.newEngine(e)
-	defer en.Close()
-	for en.warmupRemaining > 0 || en.nextWeek <= r.Weeks {
-		// The final scan week checkpoints regardless of StopAfterRounds,
-		// like the pre-engine pipeline's force flag.
-		final := en.warmupRemaining == 0 && en.nextWeek == r.Weeks
-		en.AppendRound()
-		if r.StopAfterRounds > 0 && en.rounds >= r.StopAfterRounds && !final {
-			return en.res // simulated kill; the partial result is not meaningful
-		}
-	}
-	en.Checkpoint()
-	return en.Result()
 }
 
 // mergeSidelined unions sorted sideline lists, keeping the result sorted

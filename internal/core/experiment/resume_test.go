@@ -1,7 +1,6 @@
 package experiment
 
 import (
-	"bytes"
 	"fmt"
 	"math/rand"
 	"os"
@@ -312,28 +311,13 @@ func TestDynamicsResumeRestoresNetworkCounters(t *testing.T) {
 	}
 }
 
-// TestCheckpointingDoesNotPerturbLegacyEquivalence closes the loop with
-// the streaming≡legacy suite: a checkpointing streaming run still
-// matches the legacy pipeline.
+// TestCheckpointingMatchesLegacy closes the loop with the golden suite:
+// a checkpointing run still reproduces the golden written by the
+// map-based pipeline, so durability never perturbs the outputs.
 func TestCheckpointingMatchesLegacy(t *testing.T) {
-	legacy := Dynamics{World: dynamicsWorld(300, 8115), Days: 6, Legacy: true}.Run()
 	durable := Dynamics{World: dynamicsWorld(300, 8115), Days: 6,
 		CheckpointDir: t.TempDir(), CheckpointEvery: 2}.Run()
-	diffResults(t, durable, legacy)
-	want := goldenJSON(t, legacy)
-	checkGolden(t, "dynamics-checkpointing.json", want)
-	if got := goldenJSON(t, durable); !bytes.Equal(got, want) {
-		t.Errorf("durable run differs from the golden: %s", firstDiff(want, got))
-	}
-}
-
-func TestCheckpointRequiresStreaming(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("Legacy + CheckpointDir did not panic")
-		}
-	}()
-	Dynamics{World: dynamicsWorld(50, 1), Days: 1, Legacy: true, CheckpointDir: t.TempDir()}.Run()
+	checkGolden(t, "dynamics-checkpointing.json", goldenJSON(t, durable))
 }
 
 func TestCheckpointRejectsProviderAudit(t *testing.T) {
