@@ -61,13 +61,13 @@ type attackEnv struct {
 
 // setupAttack stands up the reflectors and botnet. Seeded from the world
 // seed so the bot-region assignment is reproducible per world.
-func (r Residual) setupAttack(e *residualEnv) {
-	a := r.Attack
+func (en *ResidualEngine) setupAttack() {
+	a := en.cfg.Attack
 	if a == nil {
 		return
 	}
 	a.validate()
-	w := e.w
+	w := en.w
 	rng := rand.New(rand.NewSource(w.Config().Seed + 31))
 	regions := netsim.AllRegions()
 	env := &attackEnv{}
@@ -76,7 +76,7 @@ func (r Residual) setupAttack(e *residualEnv) {
 			w.Net, w.Alloc.NextAddr(), regions[rng.Intn(len(regions))], a.Amplification, netsim.PortDNS))
 	}
 	env.bots = attack.NewBotnet(a.Bots, w.Alloc.NextAddr, rng)
-	e.attack = env
+	en.attack = env
 }
 
 // floodWeek runs one scan week's reflection flood against the victims
@@ -84,8 +84,8 @@ func (r Residual) setupAttack(e *residualEnv) {
 // a reflector deliver Amplification junk payloads to the victim's DNS
 // port; when the victim endpoint carries a response rate limit, the junk
 // drains the budget the scanner is about to compete for.
-func (r Residual) floodWeek(e *residualEnv, week int, victims []netip.Addr) {
-	a := r.Attack
+func (en *ResidualEngine) floodWeek(week int, victims []netip.Addr) {
+	a := en.cfg.Attack
 	if a == nil || len(victims) == 0 {
 		return
 	}
@@ -98,19 +98,19 @@ func (r Residual) floodWeek(e *residualEnv, week int, victims []netip.Addr) {
 	}
 	query := []byte("ANY? large.zone.example")
 	sent := 0
-	for i := 0; i < e.attack.bots.Size(); i++ {
-		_, region := e.attack.bots.Bot(i)
+	for i := 0; i < en.attack.bots.Size(); i++ {
+		_, region := en.attack.bots.Bot(i)
 		for q := 0; q < a.RequestsPerBot; q++ {
-			resolver := e.attack.resolvers[(i+q)%len(e.attack.resolvers)]
+			resolver := en.attack.resolvers[(i+q)%len(en.attack.resolvers)]
 			victim := victims[sent%len(victims)]
 			sent++
 			ep := netsim.Endpoint{Addr: resolver.Addr(), Port: netsim.PortDNS}
 			// The bot spoofs the victim nameserver as its source; the
 			// fabric carries source addresses verbatim (no BCP38 here).
-			_, _ = e.w.Net.Send(victim, region, ep, query)
+			_, _ = en.w.Net.Send(victim, region, ep, query)
 		}
 	}
-	if r.Obs != nil {
-		r.Obs.Counter("attack.spoofed_queries").Add(uint64(sent))
+	if en.obs != nil {
+		en.obs.Counter("attack.spoofed_queries").Add(uint64(sent))
 	}
 }

@@ -154,12 +154,12 @@ func (p *campaignPersist) truncateWAL() error {
 
 // sealRound seals the round's WAL group with the cursor footer, then
 // writes a full checkpoint (and truncates the WAL) when the cadence is
-// due or force is set.
-func (p *campaignPersist) sealRound(worldDay int, store *snapstore.Store, footer []byte, force bool) error {
+// due.
+func (p *campaignPersist) sealRound(worldDay int, store *snapstore.Store, footer []byte) error {
 	if err := p.wal.SealDay(footer); err != nil {
 		return err
 	}
-	if !force && p.lastCkpt >= 0 && worldDay-p.lastCkpt < p.every {
+	if p.lastCkpt >= 0 && worldDay-p.lastCkpt < p.every {
 		return nil
 	}
 	if err := p.dir.WriteCheckpoint(worldDay, store.ExportState(), footer); err != nil {
@@ -289,61 +289,58 @@ func decodeResidualCursor(b []byte) (residualCursor, error) {
 	return cur, nil
 }
 
-// exportCursor captures the Dynamics campaign state after a completed
-// day (nextDay is the next loop index to run). baseStats is the
-// accounting this process inherited from the cursor it resumed from
-// (zero on a fresh campaign); folding it in keeps the recorded
-// BaseStats cumulative across any number of crash/resume cycles.
-func (d Dynamics) exportCursor(nextDay, randDraws int, e *dynamicsEnv, tracker *behavior.Tracker, adoptions map[dnsmsg.Name]status.Adoption, res *DynamicsResult, baseStats dnsresolver.QueryStats) dynamicsCursor {
-	base := baseStats.Add(e.resolver.Stats())
+// cursor captures the Dynamics campaign state after a completed day.
+// BaseStats folds the accounting inherited from the cursor this process
+// resumed from into the fresh resolver's, keeping it cumulative across
+// any number of crash/resume cycles.
+func (en *DynamicsEngine) cursor() dynamicsCursor {
+	base := en.baseStats.Add(en.resolver.Stats())
 	base.SidelineEvents = 0 // carried by the restored health tracker
 	cur := dynamicsCursor{
 		Kind:       cursorKindDynamics,
-		NextDay:    nextDay,
-		WorldDay:   e.w.Day(),
-		RandDraws:  randDraws,
-		Adoptions:  adoptions,
-		Breakdowns: res.Breakdowns,
-		Unchanged:  res.Unchanged,
+		NextDay:    en.nextDay,
+		WorldDay:   en.w.Day(),
+		RandDraws:  en.randDraws,
+		Adoptions:  en.adoptions,
+		Breakdowns: en.res.Breakdowns,
+		Unchanged:  en.res.Unchanged,
 		BaseStats:  base,
-		Health:     e.resolver.Health().ExportState(),
-		Obs:        d.Obs.Snapshot(),
-		Net:        e.w.Net.ExportCounters(),
-		Scenario:   d.Scenario,
+		Health:     en.resolver.Health().ExportState(),
+		Obs:        en.obs.Snapshot(),
+		Net:        en.w.Net.ExportCounters(),
+		Scenario:   en.cfg.Scenario,
 	}
-	if tracker != nil {
+	if en.tracker != nil {
 		cur.HaveTracker = true
-		cur.Tracker = tracker.ExportState()
+		cur.Tracker = en.tracker.ExportState()
 	}
 	return cur
 }
 
-// exportCursor captures the Residual campaign state after a completed
-// round. warmupRemaining is the warm-up still owed; nextWeek is the
-// next week to run (Weeks+1 when the campaign is done). baseStats is
-// the accounting inherited from the cursor this process resumed from
-// (zero on a fresh campaign), kept cumulative across restarts.
-func (r Residual) exportCursor(warmupRemaining, nextWeek int, e *residualEnv, res *ResidualResult, baseStats dnsresolver.QueryStats) residualCursor {
-	base := baseStats.Add(e.resolver.Stats().Add(e.scanner.Stats()))
+// cursor captures the Residual campaign state after a completed round:
+// the warm-up still owed, the next week to run (Weeks+1 when the
+// campaign is done), and cumulative accounting as for Dynamics.
+func (en *ResidualEngine) cursor() residualCursor {
+	base := en.baseStats.Add(en.resolver.Stats().Add(en.scanner.Stats()))
 	base.SidelineEvents = 0 // carried by the restored health trackers
 	return residualCursor{
 		Kind:            cursorKindResidual,
-		WarmupRemaining: warmupRemaining,
-		NextWeek:        nextWeek,
-		WorldDay:        e.w.Day(),
-		NameserverCount: res.NameserverCount,
-		NSHostsByWeek:   res.NSHostsByWeek,
-		Cloudflare:      res.Cloudflare,
-		Incapsula:       res.Incapsula,
-		CFExposure:      res.CFExposure.ExportState(),
-		IncExposure:     res.IncExposure.ExportState(),
-		CNAMELib:        e.cnameLib.ExportState(),
-		Scanner:         e.scanner.ExportState(),
-		Health:          e.resolver.Health().ExportState(),
+		WarmupRemaining: en.warmupRemaining,
+		NextWeek:        en.nextWeek,
+		WorldDay:        en.w.Day(),
+		NameserverCount: en.res.NameserverCount,
+		NSHostsByWeek:   en.res.NSHostsByWeek,
+		Cloudflare:      en.res.Cloudflare,
+		Incapsula:       en.res.Incapsula,
+		CFExposure:      en.res.CFExposure.ExportState(),
+		IncExposure:     en.res.IncExposure.ExportState(),
+		CNAMELib:        en.cnameLib.ExportState(),
+		Scanner:         en.scanner.ExportState(),
+		Health:          en.resolver.Health().ExportState(),
 		BaseStats:       base,
-		Obs:             r.Obs.Snapshot(),
-		Net:             e.w.Net.ExportCounters(),
-		Scenario:        r.Scenario,
+		Obs:             en.obs.Snapshot(),
+		Net:             en.w.Net.ExportCounters(),
+		Scenario:        en.cfg.Scenario,
 	}
 }
 

@@ -299,65 +299,222 @@ func (d Dynamics) Run() DynamicsResult {
 	return en.Result()
 }
 
-// dynamicsEnv is the campaign wiring the engine runs on.
-type dynamicsEnv struct {
-	w          *world.World
-	resolver   *dnsresolver.Resolver
-	domains    []alexa.Domain
-	collector  *collect.Collector
+// DynamicsEngine is the §IV usage-dynamics campaign as an incremental
+// process: each AppendDay collects one day into the live snapstore,
+// streams it through the one-pass DiffPairs machinery, and updates every
+// artifact in place — the Fig. 2 breakdown, the behaviour FSM, the pause
+// windows, and the Table V verification rows. Construct with
+// Dynamics.NewEngine.
+type DynamicsEngine struct {
+	campaign
+	cfg        Dynamics
 	classifier *status.Classifier
 	verifier   *htmlverify.Verifier
 	topCut     int
+
+	tracker   *behavior.Tracker // built after the first day (multi-CDN detection)
+	adoptions map[dnsmsg.Name]status.Adoption
+	res       DynamicsResult
+	nextDay   int
+	randDraws int
 }
 
-func (d Dynamics) setup() *dynamicsEnv {
+// NewEngine builds the campaign's incremental engine: full setup, and —
+// with CheckpointDir + Resume — recovery of the on-disk state, exactly as
+// Run would perform it. Days may be zero: an engine has no horizon of its
+// own (Run's loop bound and the campaign.days gauge are the only
+// consumers), so a daemon caller can keep appending indefinitely.
+func (d Dynamics) NewEngine() *DynamicsEngine {
+	if d.World == nil {
+		panic("experiment: Dynamics engine requires World")
+	}
+	if d.Days < 0 {
+		panic("experiment: Dynamics.Days must not be negative")
+	}
 	vantage := d.Vantage
 	if vantage == 0 {
 		vantage = netsim.RegionOregon
 	}
-	w := d.World
-	resolver := w.NewResolver(vantage)
-	domains := make([]alexa.Domain, 0, len(w.Sites()))
-	for _, s := range w.Sites() {
-		dom := s.Domain()
-		if d.Keep != nil && !d.Keep(dom) {
+	en := &DynamicsEngine{
+		campaign:   newCampaign(d.World, vantage, d.Keep, d.Workers, d.Policy, d.Obs),
+		cfg:        d,
+		classifier: status.New(match.New(d.World.Registry, dps.Profiles())),
+		verifier:   htmlverify.New(d.World.NewHTTPClient(vantage)),
+		topCut:     d.TopCut,
+		res:        DynamicsResult{Days: d.Days, Unchanged: make(map[dps.ProviderKey]*UnchangedRow)},
+	}
+	en.onSeal = d.OnSeal
+	en.adoptions = make(map[dnsmsg.Name]status.Adoption, len(en.domains))
+	if en.topCut <= 0 {
+		en.topCut = max(len(en.domains)/100, 1)
+	}
+	if d.Obs != nil {
+		en.verifier.SetObserver(d.Obs)
+		d.Obs.Gauge("campaign.days").Set(int64(d.Days))
+	}
+	var resumed []byte
+	if blob := en.open(d.window(), d.CheckpointDir, d.CheckpointEvery, d.Resume); blob != nil {
+		cur, err := decodeDynamicsCursor(blob)
+		if err != nil {
+			panic(fmt.Sprintf("experiment: %v", err))
+		}
+		en.restoreCursor(cur)
+		resumed = encodeCursor(en.cursor())
+	}
+	en.startWAL(resumed)
+	return en
+}
+
+// restoreCursor adopts a recovered cursor: the loop position, the
+// accumulated artifacts, and the process state the next day depends on.
+func (en *DynamicsEngine) restoreCursor(cur dynamicsCursor) {
+	en.nextDay = cur.NextDay
+	en.randDraws = cur.RandDraws
+	if cur.HaveTracker {
+		en.tracker = behavior.RestoreTracker(cur.Tracker)
+	}
+	if cur.Adoptions != nil {
+		en.adoptions = cur.Adoptions
+	}
+	en.res.Breakdowns = cur.Breakdowns
+	if cur.Unchanged != nil {
+		en.res.Unchanged = cur.Unchanged
+	}
+	en.restore(cur.BaseStats, cur.Health, cur.Obs, cur.WorldDay, cur.Net)
+	for i := 0; i < cur.RandDraws; i++ {
+		en.cfg.Rand.Float64()
+	}
+}
+
+// NextDay returns the next collection-loop index — equivalently, how
+// many days the campaign has collected so far (across every resume).
+func (en *DynamicsEngine) NextDay() int { return en.nextDay }
+
+// DayCounts returns one appended day's detection counts per kind (see
+// behavior.Tracker.DayCounts); nil before the first day.
+func (en *DynamicsEngine) DayCounts(day int) map[behavior.Kind]int {
+	if en.tracker == nil {
+		return nil
+	}
+	return en.tracker.DayCounts(day)
+}
+
+// LastBreakdown returns the newest appended day's Fig. 2 breakdown, or
+// the zero value before the first day.
+func (en *DynamicsEngine) LastBreakdown() AdoptionBreakdown {
+	if len(en.res.Breakdowns) == 0 {
+		return AdoptionBreakdown{}
+	}
+	return en.res.Breakdowns[len(en.res.Breakdowns)-1]
+}
+
+// AppendDay collects and seals one day and folds it into every artifact
+// in place: the day streams into the snapstore (teed to the WAL when
+// durable), one DiffPairs pass feeds the Fig. 2 breakdown, the
+// classification cache, and the behaviour FSM, and the day's JOIN/RESUME
+// detections are HTML-verified for Table V straight off the diff
+// stream — only records that changed this day are ever re-verified. It
+// returns the day's detections (the increment a daemon logs); the world
+// then advances to the next snapshot.
+func (en *DynamicsEngine) AppendDay() []behavior.Detection {
+	if en.closed {
+		panic("experiment: AppendDay on a closed engine")
+	}
+	d := en.cfg
+	day := en.nextDay
+	daySpan := d.Obs.Tracer().StartSpan("day", fmt.Sprintf("day %d", day))
+	daySpan.SetItems(len(en.domains))
+	en.collectRound(day)
+
+	if en.tracker == nil {
+		excluded := append([]dnsmsg.Name(nil), d.Excluded...)
+		if !d.KeepMultiCDN {
+			excluded = append(excluded, DetectMultiCDNStream(en.store.Cursor(day))...)
+		}
+		en.tracker = behavior.NewTracker(excluded)
+	}
+
+	b := AdoptionBreakdown{Day: day, ByProvider: make(map[dps.ProviderKey]int)}
+	// changed captures the day's churned pairs straight off the diff
+	// stream. A JOIN/RESUME detection only ever lands on an apex whose
+	// record changed this day — classification is a pure function of the
+	// record, so an unchanged record reproduces yesterday's adoption and
+	// the FSM sees no transition — so the Table V verification reads its
+	// IP1/IP2 inputs from here instead of re-materializing either day.
+	var changed map[dnsmsg.Name]snapstore.Pair
+	if day > 0 {
+		changed = make(map[dnsmsg.Name]snapstore.Pair)
+	}
+	en.tracker.BeginDay(day)
+	for pairs := en.store.DiffPairs(day); pairs.Next(); {
+		p := pairs.Pair()
+		unchanged := p.Unchanged()
+		if changed != nil && !unchanged {
+			changed[p.Apex] = p
+		}
+		if !p.CurOK {
+			delete(en.adoptions, p.Apex)
 			continue
 		}
-		domains = append(domains, dom)
-	}
-	collector := collect.New(resolver, domains)
-	if d.Workers > 1 {
-		collector.SetWorkers(d.Workers)
-	}
-	policy := dnsresolver.DefaultPolicy()
-	if d.Policy != nil {
-		policy = *d.Policy
-	}
-	resolver.SetPolicy(policy)
-	matcher := match.New(w.Registry, dps.Profiles())
-	verifier := htmlverify.New(w.NewHTTPClient(vantage))
-	if d.Obs != nil {
-		collector.SetObserver(d.Obs)
-		verifier.SetObserver(d.Obs)
-		d.Obs.Gauge("campaign.days").Set(int64(d.Days))
-		d.Obs.Gauge("campaign.domains").Set(int64(len(domains)))
-	}
-	topCut := d.TopCut
-	if topCut <= 0 {
-		topCut = len(domains) / 100
-		if topCut < 1 {
-			topCut = 1
+		adoption, cached := en.adoptions[p.Apex]
+		if !cached || !unchanged {
+			adoption = en.classifier.Classify(p.Cur)
+			en.adoptions[p.Apex] = adoption
+		}
+		b.accum(p.Cur, adoption, en.topCut)
+		// Records whose resolution failed — in full or in part — never
+		// reach the FSM, so a transient failure cannot read as a
+		// behaviour; neither do footnote-6 shared-IP suspects.
+		if p.Cur.ResolveOK && p.Cur.NSOK && !adoption.SharedIPSuspect {
+			en.tracker.ObserveOne(p.Apex, adoption)
 		}
 	}
-	return &dynamicsEnv{
-		w:          w,
-		resolver:   resolver,
-		domains:    domains,
-		collector:  collector,
-		classifier: status.New(matcher),
-		verifier:   verifier,
-		topCut:     topCut,
+	detections := en.tracker.EndDay()
+	en.res.Breakdowns = append(en.res.Breakdowns, b)
+
+	// Table V: verify origin-IP hygiene for JOIN and RESUME (§IV-C.3
+	// explicitly excludes SWITCH).
+	for _, det := range detections {
+		if det.Kind != behavior.Join && det.Kind != behavior.Resume {
+			continue
+		}
+		if day == 0 {
+			continue // no previous day to compare against
+		}
+		pr, ok := changed[det.Apex]
+		if !ok {
+			panic(fmt.Sprintf("experiment: day %d %v detection on %s without a record change", day, det.Kind, det.Apex))
+		}
+		en.verifyDetection(pr, det)
 	}
+
+	en.randDraws += d.advance(en.w)
+	en.nextDay = day + 1
+	if en.publishing() {
+		en.seal(encodeCursor(en.cursor()))
+	}
+	daySpan.End()
+	return detections
+}
+
+// Result assembles the campaign result over everything appended so far:
+// value-identical to a batch Run over the same number of days. The
+// returned struct shares the engine's accumulating maps and slices, so
+// read it before the next AppendDay or treat it as a snapshot that goes
+// stale.
+func (en *DynamicsEngine) Result() DynamicsResult {
+	out := en.res
+	out.Days = en.nextDay
+	if en.tracker != nil {
+		out.Detections = en.tracker.Detections()
+		out.PauseWindows = en.tracker.PauseWindows()
+		out.CountsByDay = en.tracker.CountsByDay()
+	}
+	// A resumed campaign adds the fresh resolver's stats on top of the
+	// accounting it inherited, reproducing the uninterrupted totals.
+	out.Stats = en.baseStats.Add(en.resolver.Stats())
+	out.Sidelined = en.resolver.Health().Sidelined()
+	return out
 }
 
 // advance moves the world to the next snapshot, with the optional long
@@ -374,18 +531,6 @@ func (d Dynamics) advance(w *world.World) int {
 		w.AdvanceDay()
 	}
 	return 1
-}
-
-// finish assembles the tracker's and resolver's campaign-end
-// accounting. base is the accounting a resumed campaign inherited from
-// before the restart (zero otherwise); the fresh resolver's stats add
-// on top, reproducing the uninterrupted totals.
-func (d Dynamics) finish(res *DynamicsResult, e *dynamicsEnv, tracker *behavior.Tracker, base dnsresolver.QueryStats) {
-	res.Detections = tracker.Detections()
-	res.PauseWindows = tracker.PauseWindows()
-	res.CountsByDay = tracker.CountsByDay()
-	res.Stats = base.Add(e.resolver.Stats())
-	res.Sidelined = e.resolver.Health().Sidelined()
 }
 
 // window resolves SnapWindow.
@@ -430,12 +575,12 @@ func (b *AdoptionBreakdown) accum(rec collect.Record, adoption status.Adoption, 
 // over a diff pair: the record versions on either side of the detected
 // action, read straight off the snapstore diff stream. The provider's
 // Table V row is created before the record lookups can bail.
-func (d Dynamics) verifyDetection(res *DynamicsResult, verifier *htmlverify.Verifier, pr snapstore.Pair, det behavior.Detection) {
+func (en *DynamicsEngine) verifyDetection(pr snapstore.Pair, det behavior.Detection) {
 	provider := det.To
-	row := res.Unchanged[provider]
+	row := en.res.Unchanged[provider]
 	if row == nil {
 		row = &UnchangedRow{Provider: provider}
-		res.Unchanged[provider] = row
+		en.res.Unchanged[provider] = row
 	}
 
 	// IP1: the origin address observed before the action. For JOIN that is
@@ -452,13 +597,9 @@ func (d Dynamics) verifyDetection(res *DynamicsResult, verifier *htmlverify.Veri
 	ip2 := pr.Cur.Addrs[0]
 
 	row.JoinResume++
-	if verifySame(verifier, det.Apex, ip2, ip1) {
+	if en.verifier.Verify(det.Apex.Child("www"), ip2, ip1).Match {
 		row.IPUnchanged++
 	}
-}
-
-func verifySame(verifier *htmlverify.Verifier, apex dnsmsg.Name, ip2, ip1 netip.Addr) bool {
-	return verifier.Verify(apex.Child("www"), ip2, ip1).Match
 }
 
 // String renders a one-line summary for logs.

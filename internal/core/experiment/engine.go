@@ -3,15 +3,13 @@ package experiment
 import (
 	"fmt"
 
-	"rrdps/internal/core/behavior"
-	"rrdps/internal/core/exposure"
-	"rrdps/internal/core/rrscan"
-	"rrdps/internal/core/status"
-	"rrdps/internal/dnsmsg"
+	"rrdps/internal/alexa"
+	"rrdps/internal/core/collect"
 	"rrdps/internal/dnsresolver"
-	"rrdps/internal/dps"
+	"rrdps/internal/netsim"
 	"rrdps/internal/obs"
 	"rrdps/internal/snapstore"
+	"rrdps/internal/world"
 )
 
 // The incremental engines.
@@ -30,24 +28,29 @@ import (
 // keeps calling — the simulated Internet keeps running, each sealed
 // round lands in the WAL (and periodically a checkpoint), and a
 // `rrserve -follow` reader picks it up within one poll.
+//
+// Both engines embed one core, campaign, which owns everything a
+// collection round does regardless of kind: the collection wiring, the
+// live snapstore, durability (recovery, the WAL, checkpoints) and the
+// seal-and-publish step. An engine adds its per-round analysis, its
+// cursor export and restore, and its result.
 
-// DynamicsEngine is the §IV usage-dynamics campaign as an incremental
-// process: each AppendDay collects one day into the live snapstore,
-// streams it through the one-pass DiffPairs machinery, and updates every
-// artifact in place — the Fig. 2 breakdown, the behaviour FSM, the pause
-// windows, and the Table V verification rows. Construct with
-// Dynamics.NewEngine.
-type DynamicsEngine struct {
-	cfg   Dynamics
-	e     *dynamicsEnv
+// campaign is the engine core: the world and its collection wiring, the
+// live snapshot store, the durability handle, and the steps every round
+// shares — collect into the store and the WAL, seal and publish,
+// checkpoint, close.
+type campaign struct {
+	w         *world.World
+	resolver  *dnsresolver.Resolver
+	domains   []alexa.Domain
+	collector *collect.Collector
+	obs       *obs.Registry
+	onSeal    func(*snapstore.View, []byte)
+
 	store *snapstore.Store
-	p     *campaignPersist
-
-	tracker   *behavior.Tracker // built after the first day (multi-CDN detection)
-	adoptions map[dnsmsg.Name]status.Adoption
-	res       DynamicsResult
-	nextDay   int
-	randDraws int
+	p     *campaignPersist // nil without a checkpoint directory
+	// baseStats is the resolver accounting inherited from the cursor a
+	// resumed campaign restarted from (zero on a fresh campaign).
 	baseStats dnsresolver.QueryStats
 	// lastFooter is the most recent sealed round's cursor blob; Checkpoint
 	// reuses it so a forced checkpoint is byte-identical to the WAL footer
@@ -56,515 +59,165 @@ type DynamicsEngine struct {
 	closed     bool
 }
 
-// NewEngine builds the campaign's incremental engine: full setup, and —
-// with CheckpointDir + Resume — recovery of the on-disk state, exactly as
-// Run would perform it. Days may be zero: an engine has no horizon of its
-// own (Run's loop bound and the campaign.days gauge are the only
-// consumers), so a daemon caller can keep appending indefinitely.
-func (d Dynamics) NewEngine() *DynamicsEngine {
-	if d.World == nil {
-		panic("experiment: Dynamics engine requires World")
+// newCampaign wires the collection side of a campaign: a resolver at the
+// vantage carrying the retry policy (nil means the default), the domains
+// keep admits (all of them when nil), a collector over them fanned out
+// to workers, and the observer.
+func newCampaign(w *world.World, vantage netsim.Region, keep func(alexa.Domain) bool, workers int, policy *dnsresolver.Policy, reg *obs.Registry) campaign {
+	c := campaign{w: w, resolver: w.NewResolver(vantage), obs: reg}
+	c.domains = make([]alexa.Domain, 0, len(w.Sites()))
+	for _, s := range w.Sites() {
+		if dom := s.Domain(); keep == nil || keep(dom) {
+			c.domains = append(c.domains, dom)
+		}
 	}
-	if d.Days < 0 {
-		panic("experiment: Dynamics.Days must not be negative")
+	c.collector = collect.New(c.resolver, c.domains)
+	if workers > 1 {
+		c.collector.SetWorkers(workers)
 	}
-	return d.newEngine(d.setup())
+	c.resolver.SetPolicy(policyOrDefault(policy))
+	if reg != nil {
+		c.collector.SetObserver(reg)
+		reg.Gauge("campaign.domains").Set(int64(len(c.domains)))
+	}
+	return c
 }
 
-func (d Dynamics) newEngine(e *dynamicsEnv) *DynamicsEngine {
-	en := &DynamicsEngine{
-		cfg:       d,
-		e:         e,
-		store:     snapstore.New(),
-		adoptions: make(map[dnsmsg.Name]status.Adoption, len(e.domains)),
-		res:       DynamicsResult{Days: d.Days, Unchanged: make(map[dps.ProviderKey]*UnchangedRow)},
+// policyOrDefault resolves a campaign's Policy override.
+func policyOrDefault(p *dnsresolver.Policy) dnsresolver.Policy {
+	if p == nil {
+		return dnsresolver.DefaultPolicy()
 	}
-	en.store.SetWindow(d.window())
-	if d.CheckpointDir == "" {
-		return en
+	return *p
+}
+
+// open creates the live store with the given retention and, with a
+// checkpoint directory, opens it. On resume it recovers the newest
+// checkpoint plus the sealed WAL rounds after it into the store and
+// returns the cursor blob the engine restores from; nil means a fresh
+// start. Call startWAL once the engine has restored.
+func (c *campaign) open(window int, dir string, every int, resume bool) []byte {
+	c.store = snapstore.New()
+	c.store.SetWindow(window)
+	if dir == "" {
+		return nil
 	}
-	p, err := openCampaignPersist(d.CheckpointDir, d.CheckpointEvery, d.Resume)
+	p, err := openCampaignPersist(dir, every, resume)
 	if err != nil {
 		panic(fmt.Sprintf("experiment: %v", err))
 	}
-	en.p = p
-	if d.Resume {
-		rec, err := p.recoverState(d.window())
-		if err != nil {
-			panic(fmt.Sprintf("experiment: recover: %v", err))
-		}
-		if rec.ok {
-			cur, err := decodeDynamicsCursor(rec.blob)
-			if err != nil {
-				panic(fmt.Sprintf("experiment: %v", err))
-			}
-			en.store = rec.store
-			en.nextDay = cur.NextDay
-			en.randDraws = cur.RandDraws
-			en.baseStats = cur.BaseStats
-			if cur.HaveTracker {
-				en.tracker = behavior.RestoreTracker(cur.Tracker)
-			}
-			if cur.Adoptions != nil {
-				en.adoptions = cur.Adoptions
-			}
-			en.res.Breakdowns = cur.Breakdowns
-			if cur.Unchanged != nil {
-				en.res.Unchanged = cur.Unchanged
-			}
-			e.resolver.Health().RestoreState(cur.Health)
-			d.Obs.Restore(cur.Obs)
-			advanceWorldTo(e.w, cur.WorldDay)
-			if err := e.w.Net.RestoreCounters(cur.Net); err != nil {
-				panic(fmt.Sprintf("experiment: %v", err))
-			}
-			for i := 0; i < cur.RandDraws; i++ {
-				d.Rand.Float64()
-			}
-		}
+	c.p = p
+	if !resume {
+		return nil
 	}
-	if en.nextDay > 0 {
-		// Re-establish the invariant (state = checkpoint + WAL) with a
-		// fresh checkpoint — written before openWAL truncates the WAL,
-		// so a crash in between cannot discard the sealed days it held.
-		footer := encodeCursor(d.exportCursor(en.nextDay, en.randDraws, e, en.tracker, en.adoptions, &en.res, en.baseStats))
-		if err := p.checkpointNow(e.w.Day(), en.store, footer); err != nil {
+	rec, err := p.recoverState(window)
+	if err != nil {
+		panic(fmt.Sprintf("experiment: recover: %v", err))
+	}
+	if !rec.ok {
+		return nil
+	}
+	c.store = rec.store
+	return rec.blob
+}
+
+// restore adopts the process state every cursor carries beyond the
+// engine's own: the inherited accounting, resolver health, metrics, the
+// world clock (a fresh world replays forward to it) and the fabric's
+// counters.
+func (c *campaign) restore(base dnsresolver.QueryStats, health dnsresolver.HealthState, metrics obs.Snapshot, worldDay int, net netsim.CountersState) {
+	c.baseStats = base
+	c.resolver.Health().RestoreState(health)
+	c.obs.Restore(metrics)
+	advanceWorldTo(c.w, worldDay)
+	if err := c.w.Net.RestoreCounters(net); err != nil {
+		panic(fmt.Sprintf("experiment: %v", err))
+	}
+}
+
+// startWAL ends the durable prologue. After a resume (footer non-nil,
+// the restored engine's cursor) it re-establishes the invariant — state
+// = checkpoint + WAL — with a fresh checkpoint, written before openWAL
+// truncates the WAL so a crash in between cannot discard the sealed
+// rounds it held. Then it opens the WAL for appending.
+func (c *campaign) startWAL(footer []byte) {
+	if c.p == nil {
+		return
+	}
+	if footer != nil {
+		if err := c.p.checkpointNow(c.w.Day(), c.store, footer); err != nil {
 			panic(fmt.Sprintf("experiment: %v", err))
 		}
 	}
-	if err := p.openWAL(); err != nil {
+	if err := c.p.openWAL(); err != nil {
 		panic(fmt.Sprintf("experiment: %v", err))
 	}
-	return en
 }
 
-// NextDay returns the next collection-loop index — equivalently, how
-// many days the campaign has collected so far (across every resume).
-func (en *DynamicsEngine) NextDay() int { return en.nextDay }
-
-// WorldDay returns the world clock (it can run ahead of NextDay under
-// long-interval jitter).
-func (en *DynamicsEngine) WorldDay() int { return en.e.w.Day() }
-
-// DayCounts returns one appended day's detection counts per kind (see
-// behavior.Tracker.DayCounts); nil before the first day.
-func (en *DynamicsEngine) DayCounts(day int) map[behavior.Kind]int {
-	if en.tracker == nil {
-		return nil
-	}
-	return en.tracker.DayCounts(day)
-}
-
-// LastBreakdown returns the newest appended day's Fig. 2 breakdown, or
-// the zero value before the first day.
-func (en *DynamicsEngine) LastBreakdown() AdoptionBreakdown {
-	if len(en.res.Breakdowns) == 0 {
-		return AdoptionBreakdown{}
-	}
-	return en.res.Breakdowns[len(en.res.Breakdowns)-1]
-}
-
-// AppendDay collects and seals one day and folds it into every artifact
-// in place: the day streams into the snapstore (teed to the WAL when
-// durable), one DiffPairs pass feeds the Fig. 2 breakdown, the
-// classification cache, and the behaviour FSM, and the day's JOIN/RESUME
-// detections are HTML-verified for Table V straight off the diff
-// stream — only records that changed this day are ever re-verified. It
-// returns the day's detections (the increment a daemon logs); the world
-// then advances to the next snapshot.
-func (en *DynamicsEngine) AppendDay() []behavior.Detection {
-	if en.closed {
-		panic("experiment: AppendDay on a closed engine")
-	}
-	d, e := en.cfg, en.e
-	day := en.nextDay
-	daySpan := d.Obs.Tracer().StartSpan("day", fmt.Sprintf("day %d", day))
-	daySpan.SetItems(len(e.domains))
-	dw := en.store.BeginDay(day)
+// collectRound streams one collection round, labelled day, into the
+// store — teed into the WAL when durable — and seals it.
+func (c *campaign) collectRound(day int) {
+	dw := c.store.BeginDay(day)
 	put := dw.Put
-	if en.p != nil {
-		en.p.beginDay(day)
-		put = en.p.tee(dw.Put)
+	if c.p != nil {
+		c.p.beginDay(day)
+		put = c.p.tee(dw.Put)
 	}
-	e.collector.CollectStream(day, put)
+	c.collector.CollectStream(day, put)
 	dw.Seal()
-
-	if en.tracker == nil {
-		excluded := append([]dnsmsg.Name(nil), d.Excluded...)
-		if !d.KeepMultiCDN {
-			excluded = append(excluded, DetectMultiCDNStream(en.store.Cursor(day))...)
-		}
-		en.tracker = behavior.NewTracker(excluded)
-	}
-
-	b := AdoptionBreakdown{Day: day, ByProvider: make(map[dps.ProviderKey]int)}
-	// changed captures the day's churned pairs straight off the diff
-	// stream. A JOIN/RESUME detection only ever lands on an apex whose
-	// record changed this day — classification is a pure function of the
-	// record, so an unchanged record reproduces yesterday's adoption and
-	// the FSM sees no transition — so the Table V verification reads its
-	// IP1/IP2 inputs from here instead of re-materializing either day.
-	var changed map[dnsmsg.Name]snapstore.Pair
-	if day > 0 {
-		changed = make(map[dnsmsg.Name]snapstore.Pair)
-	}
-	en.tracker.BeginDay(day)
-	for pairs := en.store.DiffPairs(day); pairs.Next(); {
-		p := pairs.Pair()
-		unchanged := p.Unchanged()
-		if changed != nil && !unchanged {
-			changed[p.Apex] = p
-		}
-		if !p.CurOK {
-			delete(en.adoptions, p.Apex)
-			continue
-		}
-		adoption, cached := en.adoptions[p.Apex]
-		if !cached || !unchanged {
-			adoption = e.classifier.Classify(p.Cur)
-			en.adoptions[p.Apex] = adoption
-		}
-		b.accum(p.Cur, adoption, e.topCut)
-		if p.Cur.ResolveOK && p.Cur.NSOK && !adoption.SharedIPSuspect {
-			en.tracker.ObserveOne(p.Apex, adoption)
-		}
-	}
-	detections := en.tracker.EndDay()
-	en.res.Breakdowns = append(en.res.Breakdowns, b)
-
-	// Table V: verify origin-IP hygiene for JOIN and RESUME (§IV-C.3
-	// explicitly excludes SWITCH).
-	for _, det := range detections {
-		if det.Kind != behavior.Join && det.Kind != behavior.Resume {
-			continue
-		}
-		if day == 0 {
-			continue // no previous day yet, as with a nil prev snapshot
-		}
-		pr, ok := changed[det.Apex]
-		if !ok {
-			panic(fmt.Sprintf("experiment: day %d %v detection on %s without a record change", day, det.Kind, det.Apex))
-		}
-		d.verifyDetection(&en.res, e.verifier, pr, det)
-	}
-
-	en.randDraws += d.advance(e.w)
-	en.nextDay = day + 1
-	if en.p != nil || d.OnSeal != nil {
-		footer := encodeCursor(d.exportCursor(en.nextDay, en.randDraws, e, en.tracker, en.adoptions, &en.res, en.baseStats))
-		en.lastFooter = footer
-		if en.p != nil {
-			if err := en.p.sealRound(e.w.Day(), en.store, footer, false); err != nil {
-				panic(fmt.Sprintf("experiment: %v", err))
-			}
-		}
-		if d.OnSeal != nil {
-			d.OnSeal(en.store.SealedView(), footer)
-		}
-	}
-	daySpan.End()
-	return detections
 }
+
+// publishing reports whether sealed rounds go anywhere — the WAL or an
+// OnSeal consumer. Engines encode a round's cursor only when it does.
+func (c *campaign) publishing() bool { return c.p != nil || c.onSeal != nil }
+
+// seal closes the round's WAL group with the cursor footer, writes a
+// cadence checkpoint when due, and publishes the round to OnSeal.
+func (c *campaign) seal(footer []byte) {
+	c.lastFooter = footer
+	if c.p != nil {
+		if err := c.p.sealRound(c.w.Day(), c.store, footer); err != nil {
+			panic(fmt.Sprintf("experiment: %v", err))
+		}
+	}
+	if c.onSeal != nil {
+		c.onSeal(c.store.SealedView(), footer)
+	}
+}
+
+// WorldDay returns the world clock. For Dynamics it can run ahead of
+// NextDay under long-interval jitter.
+func (c *campaign) WorldDay() int { return c.w.Day() }
 
 // Checkpoint forces a full checkpoint (store + cursor) and truncates the
 // WAL, exactly like the batch run's campaign-end checkpoint — a follower
 // or a later resume needs nothing but the directory. It reuses the last
 // sealed round's footer, so the checkpoint is byte-identical to what
 // that round's cadence checkpoint would have carried. A no-op without a
-// CheckpointDir, or before the first round sealed by this process.
-func (en *DynamicsEngine) Checkpoint() {
-	checkpointEngine(en.p, en.e.w.Day(), en.store, en.lastFooter)
-}
-
-// Result assembles the campaign result over everything appended so far:
-// value-identical to a batch Run over the same number of days. The
-// returned struct shares the engine's accumulating maps and slices, so
-// read it before the next AppendDay or treat it as a snapshot that goes
-// stale.
-func (en *DynamicsEngine) Result() DynamicsResult {
-	out := en.res
-	out.Days = en.nextDay
-	if en.tracker != nil {
-		en.cfg.finish(&out, en.e, en.tracker, en.baseStats)
-	} else {
-		out.Stats = en.baseStats.Add(en.e.resolver.Stats())
-		out.Sidelined = en.e.resolver.Health().Sidelined()
+// CheckpointDir, or before the first round sealed by this process: a
+// resumed-and-already-complete campaign must not rewrite its final
+// checkpoint with a recomputed one.
+func (c *campaign) Checkpoint() {
+	if c.p == nil || c.lastFooter == nil {
+		return
 	}
-	return out
+	if err := c.p.checkpointNow(c.w.Day(), c.store, c.lastFooter); err != nil {
+		panic(fmt.Sprintf("experiment: %v", err))
+	}
+	if err := c.p.wal.Reset(); err != nil {
+		panic(fmt.Sprintf("experiment: %v", err))
+	}
 }
 
 // Close releases the engine's WAL handle. It does not checkpoint — call
 // Checkpoint first for a clean shutdown; skipping it models a crash
 // (the sealed WAL groups still resume exactly).
-func (en *DynamicsEngine) Close() {
-	if en.closed {
+func (c *campaign) Close() {
+	if c.closed {
 		return
 	}
-	en.closed = true
-	if en.p != nil {
-		en.p.close()
-	}
-}
-
-// ResidualEngine is the §V residual-resolution campaign as an
-// incremental process: each AppendRound is one collection round — a
-// warm-up round while any warm-up days remain, then one weekly scan
-// round (direct scan + filter + exposure fold) per call. Construct with
-// Residual.NewEngine.
-type ResidualEngine struct {
-	cfg   Residual
-	e     *residualEnv
-	store *snapstore.Store
-	p     *campaignPersist
-
-	res             ResidualResult
-	warmupRemaining int
-	nextWeek        int
-	rounds          int // rounds appended by this process
-	baseStats       dnsresolver.QueryStats
-	warmupSpan      *obs.Span
-	lastFooter      []byte
-	closed          bool
-}
-
-// NewEngine builds the campaign's incremental engine; see
-// Dynamics.NewEngine for the contract. Weeks may be zero — a daemon
-// caller appends rounds for as long as it wants.
-func (r Residual) NewEngine() *ResidualEngine {
-	if r.World == nil {
-		panic("experiment: Residual engine requires World")
-	}
-	if r.Weeks < 0 {
-		panic("experiment: Residual.Weeks must not be negative")
-	}
-	if r.CheckpointDir != "" && r.ProviderAudit {
-		panic("experiment: checkpointing is incompatible with ProviderAudit (audits mutate provider state a rebuilt world cannot replay)")
-	}
-	return r.newEngine(r.setup())
-}
-
-func (r Residual) newEngine(e *residualEnv) *ResidualEngine {
-	en := &ResidualEngine{
-		cfg:   r,
-		e:     e,
-		store: snapstore.New(),
-		res: ResidualResult{
-			Weeks:       r.Weeks,
-			CFExposure:  exposure.NewTracker(),
-			IncExposure: exposure.NewTracker(),
-		},
-		warmupRemaining: r.WarmupDays,
-		nextWeek:        1,
-	}
-	en.store.SetWindow(r.window())
-	if r.CheckpointDir != "" {
-		p, err := openCampaignPersist(r.CheckpointDir, r.CheckpointEvery, r.Resume)
-		if err != nil {
-			panic(fmt.Sprintf("experiment: %v", err))
-		}
-		en.p = p
-		if r.Resume {
-			rec, err := p.recoverState(r.window())
-			if err != nil {
-				panic(fmt.Sprintf("experiment: recover: %v", err))
-			}
-			if rec.ok {
-				cur, err := decodeResidualCursor(rec.blob)
-				if err != nil {
-					panic(fmt.Sprintf("experiment: %v", err))
-				}
-				en.store = rec.store
-				en.warmupRemaining = cur.WarmupRemaining
-				en.nextWeek = cur.NextWeek
-				en.baseStats = cur.BaseStats
-				en.res.NameserverCount = cur.NameserverCount
-				en.res.NSHostsByWeek = cur.NSHostsByWeek
-				en.res.Cloudflare = cur.Cloudflare
-				en.res.Incapsula = cur.Incapsula
-				en.res.CFExposure = exposure.RestoreTracker(cur.CFExposure)
-				en.res.IncExposure = exposure.RestoreTracker(cur.IncExposure)
-				e.cnameLib.RestoreState(cur.CNAMELib)
-				if err := e.scanner.RestoreState(cur.Scanner); err != nil {
-					panic(fmt.Sprintf("experiment: %v", err))
-				}
-				e.resolver.Health().RestoreState(cur.Health)
-				r.Obs.Restore(cur.Obs)
-				advanceWorldTo(e.w, cur.WorldDay)
-				if err := e.w.Net.RestoreCounters(cur.Net); err != nil {
-					panic(fmt.Sprintf("experiment: %v", err))
-				}
-			}
-		}
-		if en.warmupRemaining < r.WarmupDays || en.nextWeek > 1 {
-			// Re-establish the invariant (state = checkpoint + WAL) with a
-			// fresh checkpoint — written before openWAL truncates the WAL,
-			// so a crash in between cannot discard the sealed days it held.
-			footer := encodeCursor(r.exportCursor(en.warmupRemaining, en.nextWeek, e, &en.res, en.baseStats))
-			if err := p.checkpointNow(e.w.Day(), en.store, footer); err != nil {
-				panic(fmt.Sprintf("experiment: %v", err))
-			}
-		}
-		if err := p.openWAL(); err != nil {
-			panic(fmt.Sprintf("experiment: %v", err))
-		}
-	}
-	if en.warmupRemaining > 0 {
-		en.warmupSpan = r.Obs.Tracer().StartSpan("warmup", fmt.Sprintf("%d days", en.warmupRemaining))
-	}
-	return en
-}
-
-// InWarmup reports whether the next AppendRound is a warm-up round.
-func (en *ResidualEngine) InWarmup() bool { return en.warmupRemaining > 0 }
-
-// NextWeek returns the next scan week (Weeks+1 once the configured
-// horizon is done; it keeps counting past it under -follow).
-func (en *ResidualEngine) NextWeek() int { return en.nextWeek }
-
-// WorldDay returns the world clock.
-func (en *ResidualEngine) WorldDay() int { return en.e.w.Day() }
-
-// Rounds returns how many rounds this process has appended.
-func (en *ResidualEngine) Rounds() int { return en.rounds }
-
-// collectRound streams one collection round into the store (the same
-// queries in the same order as collect.Collector.Collect) and returns
-// its day label for cursor replay. With persistence, the records tee into the WAL.
-func (en *ResidualEngine) collectRound() int {
-	day := en.e.w.Day()
-	dw := en.store.BeginDay(day)
-	put := dw.Put
-	if en.p != nil {
-		en.p.beginDay(day)
-		put = en.p.tee(dw.Put)
-	}
-	en.e.collector.CollectStream(day, put)
-	dw.Seal()
-	return day
-}
-
-// sealRound closes the round's WAL group with the current cursor,
-// writes a cadence checkpoint when due, and publishes the round to the
-// OnSeal hook.
-func (en *ResidualEngine) sealRound() {
-	en.rounds++
-	r := en.cfg
-	if en.p == nil && r.OnSeal == nil {
-		return
-	}
-	footer := encodeCursor(r.exportCursor(en.warmupRemaining, en.nextWeek, en.e, &en.res, en.baseStats))
-	en.lastFooter = footer
-	if en.p != nil {
-		if err := en.p.sealRound(en.e.w.Day(), en.store, footer, false); err != nil {
-			panic(fmt.Sprintf("experiment: %v", err))
-		}
-	}
-	if r.OnSeal != nil {
-		r.OnSeal(en.store.SealedView(), footer)
-	}
-}
-
-// AppendRound runs one collection round and folds it into every artifact
-// in place. During warm-up it collects and feeds the Incapsula CNAME
-// library, then advances the world up to seven days; afterwards each
-// call is one full scan week — provider audit, collection, nameserver
-// discovery, the Cloudflare direct scan and Incapsula re-resolution
-// through the Fig. 8 filter, and the week's exposure fold — followed by
-// a week of world time.
-func (en *ResidualEngine) AppendRound() {
-	if en.closed {
-		panic("experiment: AppendRound on a closed engine")
-	}
-	r, e, w := en.cfg, en.e, en.e.w
-	if en.warmupRemaining > 0 {
-		day := en.collectRound()
-		for cur := en.store.Cursor(day); cur.Next(); {
-			e.cnameLib.AddRecord(cur.Apex(), cur.Record())
-		}
-		en.warmupSpan.AddItems(len(e.domains))
-		step := 7
-		if en.warmupRemaining < step {
-			step = en.warmupRemaining
-		}
-		w.AdvanceDays(step)
-		en.warmupRemaining -= step
-		en.sealRound()
-		if en.warmupRemaining == 0 {
-			en.warmupSpan.End()
-			en.warmupSpan = nil
-		}
-		return
-	}
-
-	week := en.nextWeek
-	weekSpan := r.Obs.Tracer().StartSpan("week", fmt.Sprintf("week %d", week))
-	weekSpan.SetItems(len(e.domains))
-	r.audit(e)
-	// Collect at the start of the week; one cursor pass feeds both
-	// snapshot consumers — the Incapsula CNAME library and the week's
-	// fresh nameserver discovery.
-	day := en.collectRound()
-	disc := rrscan.NewNameserverDiscovery(e.cfProfile)
-	for cur := en.store.Cursor(day); cur.Next(); {
-		rec := cur.Record()
-		e.cnameLib.AddRecord(cur.Apex(), rec)
-		disc.AddRecord(rec)
-	}
-	nsHosts, nsAddrs := disc.Resolve(e.resolver)
-	en.res.addWeekHosts(week, nsHosts)
-
-	// The reflection flood (if configured) loads the fleet the scan is
-	// about to hammer: collection and discovery above see a clean fabric,
-	// so only the direct scan's recall is exposed to the attack.
-	r.floodWeek(e, week, nsAddrs)
-	r.scanWeek(&en.res, e, week, nsAddrs)
-
-	// A week of usage dynamics between scans.
-	w.AdvanceDays(7)
-	en.nextWeek = week + 1
-	en.sealRound()
-	weekSpan.End()
-}
-
-// Checkpoint forces a full checkpoint; see DynamicsEngine.Checkpoint.
-func (en *ResidualEngine) Checkpoint() {
-	checkpointEngine(en.p, en.e.w.Day(), en.store, en.lastFooter)
-}
-
-// Result assembles the campaign result over everything appended so far;
-// Weeks is the number of completed scan weeks. See
-// DynamicsEngine.Result for the sharing caveat.
-func (en *ResidualEngine) Result() ResidualResult {
-	out := en.res
-	out.Weeks = en.nextWeek - 1
-	en.cfg.finish(&out, en.e, en.baseStats)
-	return out
-}
-
-// Close releases the engine's WAL handle; see DynamicsEngine.Close.
-func (en *ResidualEngine) Close() {
-	if en.closed {
-		return
-	}
-	en.closed = true
-	if en.p != nil {
-		en.p.close()
-	}
-}
-
-// checkpointEngine is the shared forced-checkpoint path: write a full
-// checkpoint carrying the last sealed round's footer, then truncate the
-// WAL it subsumes. Skipped before anything sealed (footer nil) — a
-// resumed-and-already-complete campaign must not rewrite its final
-// checkpoint with a recomputed one.
-func checkpointEngine(p *campaignPersist, worldDay int, store *snapstore.Store, footer []byte) {
-	if p == nil || footer == nil {
-		return
-	}
-	if err := p.checkpointNow(worldDay, store, footer); err != nil {
-		panic(fmt.Sprintf("experiment: %v", err))
-	}
-	if err := p.wal.Reset(); err != nil {
-		panic(fmt.Sprintf("experiment: %v", err))
+	c.closed = true
+	if c.p != nil {
+		c.p.close()
 	}
 }

@@ -6,7 +6,6 @@ import (
 	"sort"
 
 	"rrdps/internal/alexa"
-	"rrdps/internal/core/collect"
 	"rrdps/internal/core/exposure"
 	"rrdps/internal/core/filter"
 	"rrdps/internal/core/htmlverify"
@@ -184,96 +183,205 @@ func (r Residual) Run() ResidualResult {
 	return en.Result()
 }
 
-// residualEnv is the campaign wiring the engine runs on.
-type residualEnv struct {
-	w         *world.World
-	resolver  *dnsresolver.Resolver
-	domains   []alexa.Domain
-	collector *collect.Collector
+// ResidualEngine is the §V residual-resolution campaign as an
+// incremental process: each AppendRound is one collection round — a
+// warm-up round while any warm-up days remain, then one weekly scan
+// round (direct scan + filter + exposure fold) per call. Construct with
+// Residual.NewEngine.
+type ResidualEngine struct {
+	campaign
+	cfg       Residual
 	pipeline  *filter.Pipeline
 	scanner   *rrscan.Scanner
 	cnameLib  *rrscan.CNAMELibrary
 	cfProfile dps.Profile
 	attack    *attackEnv // reflection-flood infra, nil without AttackLoad
+
+	res             ResidualResult
+	warmupRemaining int
+	nextWeek        int
+	rounds          int // rounds appended by this process
+	warmupSpan      *obs.Span
 }
 
-func (r Residual) setup() *residualEnv {
-	w := r.World
-
-	resolver := w.NewResolver(netsim.RegionOregon)
-	domains := make([]alexa.Domain, 0, len(w.Sites()))
-	for _, s := range w.Sites() {
-		dom := s.Domain()
-		if r.Keep != nil && !r.Keep(dom) {
-			continue
-		}
-		domains = append(domains, dom)
+// NewEngine builds the campaign's incremental engine; see
+// Dynamics.NewEngine for the contract. Weeks may be zero — a daemon
+// caller appends rounds for as long as it wants.
+func (r Residual) NewEngine() *ResidualEngine {
+	if r.World == nil {
+		panic("experiment: Residual engine requires World")
 	}
-	collector := collect.New(resolver, domains)
+	if r.Weeks < 0 {
+		panic("experiment: Residual.Weeks must not be negative")
+	}
+	if r.CheckpointDir != "" && r.ProviderAudit {
+		panic("experiment: checkpointing is incompatible with ProviderAudit (audits mutate provider state a rebuilt world cannot replay)")
+	}
+	w := r.World
+	en := &ResidualEngine{
+		campaign: newCampaign(w, netsim.RegionOregon, r.Keep, r.Workers, r.Policy, r.Obs),
+		cfg:      r,
+		res: ResidualResult{
+			Weeks:       r.Weeks,
+			CFExposure:  exposure.NewTracker(),
+			IncExposure: exposure.NewTracker(),
+		},
+		warmupRemaining: r.WarmupDays,
+		nextWeek:        1,
+	}
+	en.onSeal = r.OnSeal
 	matcher := match.New(w.Registry, dps.Profiles())
-	verifier := htmlverify.New(w.NewHTTPClient(netsim.RegionOregon))
-	pipeline := filter.New(matcher, resolver, verifier)
-
+	en.pipeline = filter.New(matcher, en.resolver, htmlverify.New(w.NewHTTPClient(netsim.RegionOregon)))
 	var vantage []*dnsresolver.Client
 	for _, region := range netsim.VantageRegions() {
 		vantage = append(vantage, w.NewResolver(region).Client())
 	}
-	scanner := rrscan.NewScanner(vantage)
-	cnameLib := rrscan.NewCNAMELibrary(dps.Incapsula, matcher)
-
-	policy := dnsresolver.DefaultPolicy()
-	if r.Policy != nil {
-		policy = *r.Policy
-	}
-	resolver.SetPolicy(policy)
-	scanner.SetPolicy(policy)
-
+	en.scanner = rrscan.NewScanner(vantage)
+	en.scanner.SetPolicy(policyOrDefault(r.Policy))
+	en.cnameLib = rrscan.NewCNAMELibrary(dps.Incapsula, matcher)
 	if r.Workers > 1 {
-		collector.SetWorkers(r.Workers)
-		scanner.SetWorkers(r.Workers)
-		cnameLib.SetWorkers(r.Workers)
-		pipeline.SetWorkers(r.Workers)
+		en.scanner.SetWorkers(r.Workers)
+		en.cnameLib.SetWorkers(r.Workers)
+		en.pipeline.SetWorkers(r.Workers)
 	}
-
 	if r.Obs != nil {
-		collector.SetObserver(r.Obs)
-		scanner.SetObserver(r.Obs)
-		cnameLib.SetObserver(r.Obs)
-		pipeline.SetObserver(r.Obs)
+		en.scanner.SetObserver(r.Obs)
+		en.cnameLib.SetObserver(r.Obs)
+		en.pipeline.SetObserver(r.Obs)
 		r.Obs.Gauge("campaign.weeks").Set(int64(r.Weeks))
-		r.Obs.Gauge("campaign.domains").Set(int64(len(domains)))
+	}
+	en.cfProfile, _ = dps.ProfileFor(dps.Cloudflare)
+	en.setupAttack()
+
+	var resumed []byte
+	if blob := en.open(r.window(), r.CheckpointDir, r.CheckpointEvery, r.Resume); blob != nil {
+		cur, err := decodeResidualCursor(blob)
+		if err != nil {
+			panic(fmt.Sprintf("experiment: %v", err))
+		}
+		en.restoreCursor(cur)
+		resumed = encodeCursor(en.cursor())
+	}
+	en.startWAL(resumed)
+	if en.warmupRemaining > 0 {
+		en.warmupSpan = r.Obs.Tracer().StartSpan("warmup", fmt.Sprintf("%d days", en.warmupRemaining))
+	}
+	return en
+}
+
+// restoreCursor adopts a recovered cursor: the loop position, the
+// accumulated artifacts, the CNAME library and scanner state, and the
+// process state the next round depends on.
+func (en *ResidualEngine) restoreCursor(cur residualCursor) {
+	en.warmupRemaining = cur.WarmupRemaining
+	en.nextWeek = cur.NextWeek
+	en.res.NameserverCount = cur.NameserverCount
+	en.res.NSHostsByWeek = cur.NSHostsByWeek
+	en.res.Cloudflare = cur.Cloudflare
+	en.res.Incapsula = cur.Incapsula
+	en.res.CFExposure = exposure.RestoreTracker(cur.CFExposure)
+	en.res.IncExposure = exposure.RestoreTracker(cur.IncExposure)
+	en.cnameLib.RestoreState(cur.CNAMELib)
+	if err := en.scanner.RestoreState(cur.Scanner); err != nil {
+		panic(fmt.Sprintf("experiment: %v", err))
+	}
+	en.restore(cur.BaseStats, cur.Health, cur.Obs, cur.WorldDay, cur.Net)
+}
+
+// InWarmup reports whether the next AppendRound is a warm-up round.
+func (en *ResidualEngine) InWarmup() bool { return en.warmupRemaining > 0 }
+
+// NextWeek returns the next scan week (Weeks+1 once the configured
+// horizon is done; it keeps counting past it under -follow).
+func (en *ResidualEngine) NextWeek() int { return en.nextWeek }
+
+// Rounds returns how many rounds this process has appended.
+func (en *ResidualEngine) Rounds() int { return en.rounds }
+
+// AppendRound runs one collection round and folds it into every artifact
+// in place. During warm-up it collects and feeds the Incapsula CNAME
+// library, then advances the world up to seven days; afterwards each
+// call is one full scan week — provider audit, collection, nameserver
+// discovery, the Cloudflare direct scan and Incapsula re-resolution
+// through the Fig. 8 filter, and the week's exposure fold — followed by
+// a week of world time.
+func (en *ResidualEngine) AppendRound() {
+	if en.closed {
+		panic("experiment: AppendRound on a closed engine")
+	}
+	if en.warmupRemaining > 0 {
+		day := en.w.Day()
+		en.collectRound(day)
+		for cur := en.store.Cursor(day); cur.Next(); {
+			en.cnameLib.AddRecord(cur.Apex(), cur.Record())
+		}
+		en.warmupSpan.AddItems(len(en.domains))
+		step := min(en.warmupRemaining, 7)
+		en.w.AdvanceDays(step)
+		en.warmupRemaining -= step
+		en.sealRound()
+		if en.warmupRemaining == 0 {
+			en.warmupSpan.End()
+			en.warmupSpan = nil
+		}
+		return
 	}
 
-	cfProfile, _ := dps.ProfileFor(dps.Cloudflare)
-	e := &residualEnv{
-		w:         w,
-		resolver:  resolver,
-		domains:   domains,
-		collector: collector,
-		pipeline:  pipeline,
-		scanner:   scanner,
-		cnameLib:  cnameLib,
-		cfProfile: cfProfile,
+	week := en.nextWeek
+	weekSpan := en.obs.Tracer().StartSpan("week", fmt.Sprintf("week %d", week))
+	weekSpan.SetItems(len(en.domains))
+	en.audit()
+	// Collect at the start of the week; one cursor pass feeds both
+	// snapshot consumers — the Incapsula CNAME library and the week's
+	// fresh nameserver discovery.
+	day := en.w.Day()
+	en.collectRound(day)
+	disc := rrscan.NewNameserverDiscovery(en.cfProfile)
+	for cur := en.store.Cursor(day); cur.Next(); {
+		rec := cur.Record()
+		en.cnameLib.AddRecord(cur.Apex(), rec)
+		disc.AddRecord(rec)
 	}
-	r.setupAttack(e)
-	return e
+	nsHosts, nsAddrs := disc.Resolve(en.resolver)
+	en.res.addWeekHosts(week, nsHosts)
+
+	// The reflection flood (if configured) loads the fleet the scan is
+	// about to hammer: collection and discovery above see a clean fabric,
+	// so only the direct scan's recall is exposed to the attack.
+	en.floodWeek(week, nsAddrs)
+	en.scanWeek(week, nsAddrs)
+
+	// A week of usage dynamics between scans.
+	en.w.AdvanceDays(7)
+	en.nextWeek = week + 1
+	en.sealRound()
+	weekSpan.End()
+}
+
+// sealRound counts the round and, when it is published, seals it with
+// the current cursor.
+func (en *ResidualEngine) sealRound() {
+	en.rounds++
+	if en.publishing() {
+		en.seal(encodeCursor(en.cursor()))
+	}
 }
 
 // audit runs the §VI-B.1 provider-side countermeasure when enabled.
-func (r Residual) audit(e *residualEnv) {
-	if !r.ProviderAudit {
+func (en *ResidualEngine) audit() {
+	if !en.cfg.ProviderAudit {
 		return
 	}
-	e.resolver.PurgeCache()
+	en.resolver.PurgeCache()
 	auditLookup := func(name dnsmsg.Name) []netip.Addr {
-		res, err := e.resolver.Resolve(name, dnsmsg.TypeA)
+		res, err := en.resolver.Resolve(name, dnsmsg.TypeA)
 		if err != nil {
 			return nil
 		}
 		return res.Addrs()
 	}
 	for _, key := range []dps.ProviderKey{dps.Cloudflare, dps.Incapsula} {
-		if p, ok := e.w.Provider(key); ok {
+		if p, ok := en.w.Provider(key); ok {
 			p.AuditTerminated(auditLookup)
 		}
 	}
@@ -282,11 +390,12 @@ func (r Residual) audit(e *residualEnv) {
 // scanWeek runs the measurement half of one weekly round: the Cloudflare
 // direct scan + filter, and the Incapsula CNAME-library re-resolution +
 // filter.
-func (r Residual) scanWeek(res *ResidualResult, e *residualEnv, week int, nsAddrs []netip.Addr) {
+func (en *ResidualEngine) scanWeek(week int, nsAddrs []netip.Addr) {
+	res := &en.res
 	// Cloudflare case study: direct scan of all domains.
-	scanned := e.scanner.ScanDirect(nsAddrs, e.domains)
-	e.resolver.PurgeCache()
-	cfReport := e.pipeline.Run(dps.Cloudflare, scanned)
+	scanned := en.scanner.ScanDirect(nsAddrs, en.domains)
+	en.resolver.PurgeCache()
+	cfReport := en.pipeline.Run(dps.Cloudflare, scanned)
 	res.Cloudflare = append(res.Cloudflare, WeeklyReport{Week: week, Report: cfReport})
 	res.CFExposure.AddWeek(week, cfReport)
 
@@ -295,22 +404,28 @@ func (r Residual) scanWeek(res *ResidualResult, e *residualEnv, week int, nsAddr
 	// silently skipped the named start week — with the paper's
 	// "last three weeks of six" config that dropped a third of the
 	// Incapsula observations.)
-	if week >= r.IncapsulaStartWeek {
-		incScanned := e.cnameLib.ResolveAll(e.resolver)
-		incReport := e.pipeline.Run(dps.Incapsula, incScanned)
+	if week >= en.cfg.IncapsulaStartWeek {
+		incScanned := en.cnameLib.ResolveAll(en.resolver)
+		incReport := en.pipeline.Run(dps.Incapsula, incScanned)
 		res.Incapsula = append(res.Incapsula, WeeklyReport{Week: week, Report: incReport})
 		res.IncExposure.AddWeek(week, incReport)
 	}
 }
 
-// finish merges the campaign's resilience accounting: the collector,
-// filter pipeline, CNAME library, and nameserver discovery all share one
-// resolver; count it once, then add each scan vantage client. base is
-// the accounting a resumed campaign inherited from before the restart
-// (zero otherwise).
-func (r Residual) finish(res *ResidualResult, e *residualEnv, base dnsresolver.QueryStats) {
-	res.Stats = base.Add(e.resolver.Stats().Add(e.scanner.Stats()))
-	res.Sidelined = mergeSidelined(e.resolver.Health().Sidelined(), e.scanner.Sidelined())
+// Result assembles the campaign result over everything appended so far;
+// Weeks is the number of completed scan weeks. See
+// DynamicsEngine.Result for the sharing caveat.
+//
+// The collector, filter pipeline, CNAME library, and nameserver
+// discovery all share one resolver, so its accounting counts once, plus
+// each scan vantage client's, on top of what a resumed campaign
+// inherited.
+func (en *ResidualEngine) Result() ResidualResult {
+	out := en.res
+	out.Weeks = en.nextWeek - 1
+	out.Stats = en.baseStats.Add(en.resolver.Stats().Add(en.scanner.Stats()))
+	out.Sidelined = mergeSidelined(en.resolver.Health().Sidelined(), en.scanner.Sidelined())
+	return out
 }
 
 // window resolves SnapWindow.
