@@ -136,6 +136,29 @@ type resolveFrame struct {
 	servers []netip.Addr
 	hosts   []dnsmsg.Name
 	addrs   []netip.Addr
+	// glue is the current referral's Additional-section addresses. The
+	// walk reads them from here rather than back out of the shared cache,
+	// where a concurrent PurgeCache or an LRU eviction can drop them in
+	// between — and without glue, an in-bailiwick nameserver's nested
+	// resolve is circular and ends in SERVFAIL.
+	glue []glueAddr
+}
+
+// glueAddr is one glue A record of a referral.
+type glueAddr struct {
+	host dnsmsg.Name
+	addr netip.Addr
+}
+
+// glueFor returns the frame's glue address for host. The last A record
+// wins, as it does in the cache.
+func (f *resolveFrame) glueFor(host dnsmsg.Name) (netip.Addr, bool) {
+	for i := len(f.glue) - 1; i >= 0; i-- {
+		if f.glue[i].host == host {
+			return f.glue[i].addr, true
+		}
+	}
+	return netip.Addr{}, false
 }
 
 // resolveScratch is the full per-resolution scratch: a frame for every
@@ -276,6 +299,7 @@ func (r *Resolver) resolve(sc *resolveScratch, name dnsmsg.Name, qtype dnsmsg.Ty
 func (r *Resolver) iterate(sc *resolveScratch, name dnsmsg.Name, qtype dnsmsg.Type, depth int) (chain, answers []dnsmsg.RR, rcode dnsmsg.RCode, negTTL time.Duration, err error) {
 	f := &sc.frames[depth]
 	now := r.clock.Now()
+	f.glue = f.glue[:0]
 	f.servers = append(f.servers[:0], r.roots...)
 	servers := f.servers
 	zone := dnsmsg.Name("") // the root
@@ -323,9 +347,13 @@ func (r *Resolver) iterate(sc *resolveScratch, name dnsmsg.Name, qtype dnsmsg.Ty
 			f.hosts = append(f.hosts, rr.Data.(dnsmsg.NSData).Host)
 		}
 		r.cache.putDelegation(now, child, f.hosts, minTTL(nsSet, r.negTTL))
+		f.glue = f.glue[:0]
 		for _, rr := range resp.Additional {
 			if a, ok := rr.Data.(dnsmsg.AData); ok {
 				r.cache.putHostAddr(now, rr.Name, a.Addr, rr.TTL)
+				if rr.TTL > 0 { // the cache skips zero-TTL glue too
+					f.glue = append(f.glue, glueAddr{host: rr.Name, addr: a.Addr})
+				}
 			}
 		}
 		// This overwrites f.addrs — the backing of `servers` when the walk
@@ -410,14 +438,19 @@ func (r *Resolver) queryAny(ex *exchangeScratch, servers []netip.Addr, name dnsm
 	return resp, true
 }
 
-// hostAddrs maps nameserver hostnames to addresses, using glue from cache
-// and falling back to nested resolution. The returned slice is backed by
-// the depth's frame and is valid until its next hostAddrs call.
+// hostAddrs maps nameserver hostnames to addresses, using the current
+// referral's glue, then glue from cache, and falling back to nested
+// resolution. The returned slice is backed by the depth's frame and is
+// valid until its next hostAddrs call.
 func (r *Resolver) hostAddrs(sc *resolveScratch, hosts []dnsmsg.Name, depth int) []netip.Addr {
 	f := &sc.frames[depth]
 	now := r.clock.Now()
 	out := f.addrs[:0]
 	for _, h := range hosts {
+		if addr, ok := f.glueFor(h); ok {
+			out = append(out, addr)
+			continue
+		}
 		if addr, ok := r.cache.getHostAddr(now, h); ok {
 			out = append(out, addr)
 			continue
