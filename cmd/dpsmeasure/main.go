@@ -9,8 +9,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"os/signal"
-	"syscall"
 	"time"
 
 	"rrdps/internal/cmdutil"
@@ -21,47 +19,6 @@ import (
 	"rrdps/internal/shardrun"
 	"rrdps/internal/world"
 )
-
-// runFollow is the -follow daemon loop: append days until SIGTERM/SIGINT
-// or -max-days, print a one-line summary per sealed day, then drain —
-// finish the in-flight day, force a checkpoint, and hand back the result
-// accumulated so far. Every sealed day is immediately visible to
-// `rrserve -follow` readers tailing the checkpoint directory.
-func runFollow(cfg experiment.Dynamics, cf *cmdutil.CampaignFlags) experiment.DynamicsResult {
-	en := cfg.NewEngine()
-	defer en.Close()
-	sig := make(chan os.Signal, 1)
-	signal.Notify(sig, syscall.SIGINT, syscall.SIGTERM)
-	defer signal.Stop(sig)
-
-	drain := func(why string) experiment.DynamicsResult {
-		fmt.Fprintf(os.Stderr, "dpsmeasure: %s; checkpointing and draining\n", why)
-		en.Checkpoint()
-		return en.Result()
-	}
-	appended := 0
-	for {
-		select {
-		case s := <-sig:
-			return drain(s.String())
-		default:
-		}
-		day := en.NextDay()
-		en.AppendDay()
-		fmt.Println(report.DynamicsProgress(day, en.WorldDay(), en.LastBreakdown(), en.DayCounts(day)))
-		appended++
-		if cf.MaxDays > 0 && appended >= cf.MaxDays {
-			return drain(fmt.Sprintf("-max-days %d reached", cf.MaxDays))
-		}
-		if cf.FollowInterval > 0 {
-			select {
-			case s := <-sig:
-				return drain(s.String())
-			case <-time.After(cf.FollowInterval):
-			}
-		}
-	}
-}
 
 func main() {
 	sites := flag.Int("sites", 2000, "number of websites (the paper uses 1M; scale down)")
@@ -165,7 +122,16 @@ func main() {
 			// appends until SIGTERM or -max-days.
 			campaign.Days = 0
 			fmt.Printf("world ready in %v; following (SIGTERM to drain)...\n\n", time.Since(start).Round(time.Millisecond))
-			res = runFollow(campaign, cf)
+			en := campaign.NewEngine()
+			res = cmdutil.Follow(cf, "dpsmeasure", func() {
+				day := en.NextDay()
+				en.AppendDay()
+				fmt.Println(report.DynamicsProgress(day, en.WorldDay(), en.LastBreakdown(), en.DayCounts(day)))
+			}, func() experiment.DynamicsResult {
+				en.Checkpoint()
+				return en.Result()
+			})
+			en.Close()
 		} else {
 			fmt.Printf("world ready in %v; running %d-day campaign...\n\n", time.Since(start).Round(time.Millisecond), *days)
 			res = campaign.Run()

@@ -9,8 +9,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"os/signal"
-	"syscall"
 	"time"
 
 	"rrdps/internal/cmdutil"
@@ -23,45 +21,6 @@ import (
 	"rrdps/internal/shardrun"
 	"rrdps/internal/world"
 )
-
-// runFollow is the -follow daemon loop: append collection rounds
-// (warm-up steps, then scan weeks) until SIGTERM/SIGINT or -max-days,
-// print a one-line summary per sealed round, then drain — finish the
-// in-flight round, force a checkpoint, and hand back the result so far.
-func runFollow(cfg experiment.Residual, cf *cmdutil.CampaignFlags) experiment.ResidualResult {
-	en := cfg.NewEngine()
-	defer en.Close()
-	sig := make(chan os.Signal, 1)
-	signal.Notify(sig, syscall.SIGINT, syscall.SIGTERM)
-	defer signal.Stop(sig)
-
-	drain := func(why string) experiment.ResidualResult {
-		fmt.Fprintf(os.Stderr, "rrscan: %s; checkpointing and draining\n", why)
-		en.Checkpoint()
-		return en.Result()
-	}
-	appended := 0
-	for {
-		select {
-		case s := <-sig:
-			return drain(s.String())
-		default:
-		}
-		en.AppendRound()
-		fmt.Println(report.ResidualProgress(en.WorldDay(), en.Result()))
-		appended++
-		if cf.MaxDays > 0 && appended >= cf.MaxDays {
-			return drain(fmt.Sprintf("-max-days %d reached", cf.MaxDays))
-		}
-		if cf.FollowInterval > 0 {
-			select {
-			case s := <-sig:
-				return drain(s.String())
-			case <-time.After(cf.FollowInterval):
-			}
-		}
-	}
-}
 
 // poolCounts reads the Fig. 7 per-PoP query counts of one Cloudflare pool
 // nameserver out of a world. Sharded runs sum this across shard worlds.
@@ -201,7 +160,15 @@ func main() {
 			// appends rounds until SIGTERM or -max-days.
 			campaign.Weeks = 0
 			fmt.Printf("world ready in %v; following (SIGTERM to drain)...\n\n", time.Since(start).Round(time.Millisecond))
-			res = runFollow(campaign, cf)
+			en := campaign.NewEngine()
+			res = cmdutil.Follow(cf, "rrscan", func() {
+				en.AppendRound()
+				fmt.Println(report.ResidualProgress(en.WorldDay(), en.Result()))
+			}, func() experiment.ResidualResult {
+				en.Checkpoint()
+				return en.Result()
+			})
+			en.Close()
 		} else {
 			fmt.Printf("world ready in %v; running %d-week campaign...\n\n", time.Since(start).Round(time.Millisecond), *weeks)
 			res = campaign.Run()

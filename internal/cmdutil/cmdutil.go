@@ -1,6 +1,7 @@
 // Package cmdutil holds the plumbing shared by the cmd binaries: the
-// common campaign flag block, emitting a metrics dump as text or JSON,
-// and capturing CPU/heap profiles around a campaign body.
+// common campaign flag block, the -follow daemon loop, emitting a
+// metrics dump as text or JSON, and capturing CPU/heap profiles around a
+// campaign body.
 package cmdutil
 
 import (
@@ -9,8 +10,10 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"os/signal"
 	"runtime"
 	"runtime/pprof"
+	"syscall"
 	"time"
 
 	"rrdps/internal/core/report"
@@ -234,6 +237,42 @@ func (f *CampaignFlags) LoadScenario(wantKind string) (*scenario.Compiled, error
 		f.SnapWindow = comp.SnapWindow
 	}
 	return comp, nil
+}
+
+// Follow is the -follow daemon loop: it calls step once per collection
+// round until SIGINT/SIGTERM or -max-days, pausing -follow-interval
+// between rounds, then logs why it stopped and returns drain's result.
+// step appends one round and prints its progress line; drain forces a
+// checkpoint and assembles the result so far. A signal that arrives
+// mid-round lets the round finish first, so every round step starts is
+// sealed — and visible to `rrserve -follow` readers — before the drain.
+func Follow[R any](f *CampaignFlags, prog string, step func(), drain func() R) R {
+	sig := make(chan os.Signal, 1)
+	signal.Notify(sig, syscall.SIGINT, syscall.SIGTERM)
+	defer signal.Stop(sig)
+	stop := func(why string) R {
+		fmt.Fprintf(os.Stderr, "%s: %s; checkpointing and draining\n", prog, why)
+		return drain()
+	}
+	for appended := 0; ; {
+		select {
+		case s := <-sig:
+			return stop(s.String())
+		default:
+		}
+		step()
+		appended++
+		if f.MaxDays > 0 && appended >= f.MaxDays {
+			return stop(fmt.Sprintf("-max-days %d reached", f.MaxDays))
+		}
+		if f.FollowInterval > 0 {
+			select {
+			case s := <-sig:
+				return stop(s.String())
+			case <-time.After(f.FollowInterval):
+			}
+		}
+	}
 }
 
 // Policy builds the retry policy the flag block describes.

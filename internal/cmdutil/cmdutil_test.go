@@ -177,3 +177,20 @@ func TestStopProfilesPropagatesHeapCloseError(t *testing.T) {
 		t.Fatalf("stop() = %v, want it to wrap %v", err, closeErr)
 	}
 }
+
+// TestFollowStopsAtMaxDays: the daemon loop appends exactly -max-days
+// rounds, then drains once and hands back the drain's result.
+func TestFollowStopsAtMaxDays(t *testing.T) {
+	f, err := parse(t, "-follow", "-checkpoint-dir", "ckpt", "-max-days", "3")
+	if err != nil {
+		t.Fatal(err)
+	}
+	steps, drains := 0, 0
+	got := Follow(f, "test", func() { steps++ }, func() int {
+		drains++
+		return steps
+	})
+	if steps != 3 || drains != 1 || got != 3 {
+		t.Fatalf("steps %d, drains %d, result %d; want 3, 1, 3", steps, drains, got)
+	}
+}
