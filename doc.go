@@ -30,11 +30,10 @@
 // Snapshot flow: the campaign runners stream each day's collection
 // straight into a SnapshotStore (collector → store → streaming
 // classifier/differ → campaign aggregation) and bound retention with
-// SnapWindow, so memory stays flat over campaign length. The map-based
-// Snapshot remains as a thin legacy adapter — see the deprecation note on
-// the Snapshot alias in rrdps.go — and the Legacy flags on Dynamics and
-// Residual keep the old pipeline runnable until downstream callers have
-// migrated.
+// SnapWindow, so memory stays flat over campaign length. Each campaign
+// kind has this one pipeline; golden files written by the retired
+// map-based pipeline pin its outputs. The map-based Snapshot remains as a
+// thin adapter — see the note on the Snapshot alias in rrdps.go.
 //
 // See README.md for a tour, DESIGN.md for the system inventory and
 // per-experiment index, and EXPERIMENTS.md for paper-vs-measured results.

@@ -40,13 +40,12 @@ type Record struct {
 
 // Snapshot is one day's collected records.
 //
-// Deprecated-by-design for retention: Snapshot is the legacy map-based
-// view. Since the Table V verification moved onto the snapstore diff
-// stream, nothing on the streaming path consumes it anymore — it is kept
-// only for the Legacy cross-check pipeline and the tests that pin the
-// two pipelines equal. Code that keeps history should append days into a
-// snapstore.Store and replay them through its cursors instead of holding
-// Snapshots alive.
+// Deprecated-by-design for retention: Snapshot is the map-based view.
+// No campaign consumes it; it remains the reference form that tests pin
+// the streaming consumers against (status.ClassifySnapshot,
+// rrscan.DiscoverNameservers). Code that keeps history should append
+// days into a snapstore.Store and replay them through its cursors
+// instead of holding Snapshots alive.
 type Snapshot struct {
 	Day     int
 	Records map[dnsmsg.Name]Record // keyed by apex

@@ -134,12 +134,11 @@ type Collector = collect.Collector
 
 // Snapshot is one day's collected records as a full map.
 //
-// Deprecated-path note: Snapshot is the legacy adapter kept so pre-store
-// callers still compile. New code should stream Collector.CollectStream
-// into a SnapshotStore and read days back through SnapshotCursor /
+// Snapshot is an adapter kept so map-based callers still compile; no
+// campaign uses it. New code should stream Collector.CollectStream into
+// a SnapshotStore and read days back through SnapshotCursor /
 // SnapshotPairCursor (or SnapshotStore.SnapshotAt when a map really is
-// needed); the campaign runners already work this way, and the map-based
-// entry points go away once downstream callers have migrated.
+// needed), as the campaign runners do.
 type Snapshot = collect.Snapshot
 
 // SnapshotStore is the append-only, delta-encoded, name-interned store for
