@@ -4,7 +4,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"net/netip"
 	"sync"
 	"time"
 )
@@ -19,38 +18,36 @@ var (
 	ErrRDataLength   = errors.New("dnsmsg: rdata length mismatch")
 )
 
-// maxInternedNames caps a Decoder's name-intern table. The simulated
-// Internet's name universe is bounded, so a campaign decoder never gets
-// near the cap; it exists so adversarial input (the fuzzer) cannot grow
-// one decoder without bound.
-const maxInternedNames = 1 << 16
-
-// Decoder parses wire-format messages, reusing scratch buffers and an
-// intern table of previously seen names across calls. A zero Decoder is
-// ready to use; it is not safe for concurrent use (pool one per goroutine
-// with AcquireDecoder/ReleaseDecoder).
+// Decoder parses wire-format messages, reusing scratch buffers across
+// calls. A zero Decoder is ready to use; it is not safe for concurrent use
+// (pool one per goroutine with AcquireDecoder/ReleaseDecoder).
 //
-// Interning is what makes steady-state decoding allocation-free: a
-// resolver decodes the same owner names, CNAME targets, and NS hostnames
-// millions of times per campaign, and each distinct name is materialized
-// as a Go string exactly once per decoder.
+// Names are what makes steady-state decoding allocation-free: a resolver
+// decodes the same owner names, CNAME targets, and NS hostnames millions
+// of times per campaign. Every decoder interns into one process-wide
+// table, bounded at tableBytes (sized for the paper's 1M-site workload),
+// so each distinct name is materialized as a Go string once per process,
+// and its NS and CNAME payloads, like each distinct address, are boxed
+// once. A name that is a compression pointer to a label this message
+// already decoded is not even looked up: the decoder remembers where each
+// in-place label of the current message starts and returns the suffix of
+// the name that label began.
 type Decoder struct {
 	buf []byte
 	pos int
 
-	names   map[string]Name
 	scratch []byte
-
-	// Pre-boxed RData values, keyed by content. Storing a concrete rdata
-	// struct in the RData interface allocates; a campaign decodes the same
-	// few addresses and targets endlessly, so each distinct value is boxed
-	// once and reused. SOA/MX/TXT are rare enough to box per record.
-	aData     map[netip.Addr]RData
-	nsData    map[Name]RData
-	cnameData map[Name]RData
+	memo    []memoLabel
 }
 
-// decoderPool recycles decoders (and their intern tables) across queries.
+// memoLabel is a label the ASCII fast path read in place from the current
+// message: the name that starts at wire offset off is name[at:].
+type memoLabel struct {
+	off, at int
+	name    Name
+}
+
+// decoderPool recycles decoders (and their scratch buffers) across queries.
 var decoderPool = sync.Pool{New: func() any { return new(Decoder) }}
 
 // AcquireDecoder returns a pooled decoder.
@@ -78,6 +75,7 @@ func Decode(b []byte) (*Message, error) {
 // m holds partially decoded content and must not be used.
 func (d *Decoder) DecodeInto(b []byte, m *Message) error {
 	d.buf, d.pos = b, 0
+	d.memo = d.memo[:0]
 	m.Questions = m.Questions[:0]
 	m.Answers = m.Answers[:0]
 	m.Authority = m.Authority[:0]
@@ -169,16 +167,42 @@ func (d *Decoder) take(n int) ([]byte, error) {
 }
 
 // name reads a possibly-compressed name starting at the current position.
-// The raw labels are gathered into the decoder's scratch buffer (dotted,
-// as ParseName would see them), normalized, then interned so repeated
-// names cost no allocation.
 func (d *Decoder) name() (Name, error) {
+	n, _, err := d.nameEntry()
+	return n, err
+}
+
+// nameEntry reads a name like name, also returning its table entry when
+// the ASCII fast path interned it (nil for a memo hit, the root, or a name
+// with non-ASCII bytes). Only fast-path names enter the memo: their bytes
+// map one to one onto the wire labels.
+func (d *Decoder) nameEntry() (Name, *entry, error) {
+	if n, ok := d.memoized(); ok {
+		return n, nil, nil
+	}
+	first := len(d.memo)
 	next, err := d.readNameScratch(d.pos)
 	if err != nil {
-		return "", err
+		return "", nil, err
 	}
 	d.pos = next
+	n, e, err := d.intern()
+	if e == nil {
+		d.memo = d.memo[:first]
+		return n, nil, err
+	}
+	// Every label of a valid name starts a valid name, its suffix: labels
+	// are non-empty and only the final byte was trimmed, so at < len(n).
+	for i := first; i < len(d.memo); i++ {
+		d.memo[i].name = n
+	}
+	return n, e, nil
+}
 
+// intern turns the dotted labels in d.scratch into a Name: normalized,
+// validated, then looked up in the shared table so repeated names cost no
+// allocation.
+func (d *Decoder) intern() (Name, *entry, error) {
 	s := d.scratch
 	// ParseName semantics: one trailing dot is accepted and trimmed. A
 	// dotted join of wire labels ends with '.' only when the final label
@@ -187,12 +211,13 @@ func (d *Decoder) name() (Name, error) {
 		s = s[:len(s)-1]
 	}
 	if len(s) == 0 {
-		return "", nil
+		return "", nil, nil
 	}
 
 	// Fast path: pure-ASCII names are normalized in place and validated in
 	// one scan. Anything with high bytes falls back to ParseName, whose
-	// Unicode-aware lowercasing is the historical behaviour.
+	// Unicode-aware lowercasing is the historical behaviour; it sees the
+	// untrimmed join, as it would any other input.
 	ascii := true
 	for i := 0; i < len(s); i++ {
 		c := s[i]
@@ -205,45 +230,62 @@ func (d *Decoder) name() (Name, error) {
 		}
 	}
 	if !ascii {
-		return ParseName(string(s))
+		n, err := ParseName(string(d.scratch))
+		return n, nil, err
 	}
 	if len(s) > 253 {
-		return "", fmt.Errorf("parsing %q: %w", s, ErrNameTooLong)
+		return "", nil, fmt.Errorf("parsing %q: %w", s, ErrNameTooLong)
 	}
 	labelLen := 0
 	for i := 0; i <= len(s); i++ {
 		if i == len(s) || s[i] == '.' {
 			if labelLen == 0 {
-				return "", fmt.Errorf("parsing %q: %w", s, ErrEmptyLabel)
+				return "", nil, fmt.Errorf("parsing %q: %w", s, ErrEmptyLabel)
 			}
 			if labelLen > 63 {
-				return "", fmt.Errorf("parsing %q: %w", s, ErrLabelTooLong)
+				return "", nil, fmt.Errorf("parsing %q: %w", s, ErrLabelTooLong)
 			}
 			labelLen = 0
 			continue
 		}
 		labelLen++
 	}
-	return d.intern(s), nil
+	e := sharedNames.get(s)
+	return Name(e.key), e, nil
 }
 
-// intern returns the canonical Name for the normalized bytes in s,
-// allocating the backing string only on first sight.
-func (d *Decoder) intern(s []byte) Name {
-	if n, ok := d.names[string(s)]; ok {
-		return n
+// memoized returns the name at the current position when it is a single
+// compression pointer to a label this message's fast path decoded in
+// place, advancing past the pointer. Pointers must point backwards, so
+// every such label precedes the current position, and decoding from it
+// again would walk the same labels and pointers to the same name.
+func (d *Decoder) memoized() (Name, bool) {
+	if d.pos+2 > len(d.buf) || d.buf[d.pos]&0xC0 != 0xC0 {
+		return "", false
 	}
-	if d.names == nil || len(d.names) >= maxInternedNames {
-		d.names = make(map[string]Name)
+	ptr := int(binary.BigEndian.Uint16(d.buf[d.pos:]) & 0x3FFF)
+	// In-place labels are recorded in wire order, so the memo is sorted.
+	i, j := 0, len(d.memo)
+	for i < j {
+		h := int(uint(i+j) >> 1)
+		if d.memo[h].off < ptr {
+			i = h + 1
+		} else {
+			j = h
+		}
 	}
-	n := Name(s)
-	d.names[string(n)] = n
-	return n
+	if i == len(d.memo) || d.memo[i].off != ptr {
+		return "", false
+	}
+	d.pos += 2
+	m := d.memo[i]
+	return m.name[m.at:], true
 }
 
 // readNameScratch walks labels and compression pointers from off into
 // d.scratch as a dotted string, returning the offset just past the name's
-// in-place representation.
+// in-place representation. It appends each label read in place, before
+// the first pointer, to d.memo with its position in d.scratch.
 func (d *Decoder) readNameScratch(off int) (next int, err error) {
 	const maxHops = 64 // more pointer hops than any legal message needs
 	buf := d.buf
@@ -286,6 +328,9 @@ func (d *Decoder) readNameScratch(off int) (next int, err error) {
 			}
 			if len(d.scratch) > 0 {
 				d.scratch = append(d.scratch, '.')
+			}
+			if next < 0 {
+				d.memo = append(d.memo, memoLabel{off: off, at: len(d.scratch)})
 			}
 			d.scratch = append(d.scratch, buf[off+1:off+1+l]...)
 			off += 1 + l
@@ -342,44 +387,19 @@ func (d *Decoder) rr() (RR, error) {
 		if err != nil {
 			return RR{}, err
 		}
-		addr := netip.AddrFrom4([4]byte(raw))
-		if v, ok := d.aData[addr]; ok {
-			data = v
-		} else {
-			if d.aData == nil || len(d.aData) >= maxInternedNames {
-				d.aData = make(map[netip.Addr]RData)
-			}
-			data = AData{Addr: addr}
-			d.aData[addr] = data
-		}
+		data = d.addrData(raw)
 	case TypeNS:
-		host, err := d.name()
+		host, e, err := d.nameEntry()
 		if err != nil {
 			return RR{}, err
 		}
-		if v, ok := d.nsData[host]; ok {
-			data = v
-		} else {
-			if d.nsData == nil || len(d.nsData) >= maxInternedNames {
-				d.nsData = make(map[Name]RData)
-			}
-			data = NSData{Host: host}
-			d.nsData[host] = data
-		}
+		data = d.entryFor(host, e).rdata(boxNS, nsPayload)
 	case TypeCNAME:
-		target, err := d.name()
+		target, e, err := d.nameEntry()
 		if err != nil {
 			return RR{}, err
 		}
-		if v, ok := d.cnameData[target]; ok {
-			data = v
-		} else {
-			if d.cnameData == nil || len(d.cnameData) >= maxInternedNames {
-				d.cnameData = make(map[Name]RData)
-			}
-			data = CNAMEData{Target: target}
-			d.cnameData[target] = data
-		}
+		data = d.entryFor(target, e).rdata(boxCNAME, cnamePayload)
 	case TypeSOA:
 		var soa SOAData
 		if soa.MName, err = d.name(); err != nil {
@@ -423,16 +443,7 @@ func (d *Decoder) rr() (RR, error) {
 		if err != nil {
 			return RR{}, err
 		}
-		addr := netip.AddrFrom16([16]byte(raw))
-		if v, ok := d.aData[addr]; ok {
-			data = v
-		} else {
-			if d.aData == nil || len(d.aData) >= maxInternedNames {
-				d.aData = make(map[netip.Addr]RData)
-			}
-			data = AAAAData{Addr: addr}
-			d.aData[addr] = data
-		}
+		data = d.addrData(raw)
 	default:
 		return RR{}, fmt.Errorf("type %s: %w", Type(t), ErrUnsupportedRR)
 	}
@@ -452,4 +463,22 @@ func (d *Decoder) rr() (RR, error) {
 		TTL:   time.Duration(ttl) * time.Second,
 		Data:  data,
 	}, nil
+}
+
+// entryFor returns n's table entry: e when the decoder already has it,
+// otherwise a lookup of n (copied into scratch, which no longer holds
+// anything the caller needs).
+func (d *Decoder) entryFor(n Name, e *entry) *entry {
+	if e != nil {
+		return e
+	}
+	d.scratch = append(d.scratch[:0], n...)
+	return sharedNames.get(d.scratch)
+}
+
+// addrData returns the boxed A or AAAA payload for a raw 4- or 16-byte
+// address.
+func (d *Decoder) addrData(raw []byte) RData {
+	d.scratch = append(append(d.scratch[:0], addrKeyTag), raw...)
+	return sharedNames.get(d.scratch).rdata(boxAddr, addrPayload)
 }

@@ -21,13 +21,19 @@ type Encoder struct {
 	// compression offsets are message-relative (EncodeAppend can target a
 	// non-empty caller buffer).
 	base int
-	// offsets remembers where each (sub)name was written so later
-	// occurrences can emit a compression pointer.
-	offsets map[Name]int
+	// offsets remembers where each (sub)name of the current message was
+	// written so later occurrences can emit a compression pointer. A
+	// message holds a few dozen suffixes, so a linear scan beats hashing.
+	offsets []nameOffset
 
 	// Query scratch for alloc-free query encoding.
 	qmsg Message
 	qs   [1]Question
+}
+
+type nameOffset struct {
+	name Name
+	off  int
 }
 
 // encoderPool recycles encoders (buffer + compression table) across the
@@ -46,11 +52,7 @@ func ReleaseEncoder(e *Encoder) { encoderPool.Put(e) }
 func (e *Encoder) reset() {
 	e.buf = e.buf[:0]
 	e.base = 0
-	if e.offsets == nil {
-		e.offsets = make(map[Name]int)
-	} else {
-		clear(e.offsets)
-	}
+	e.offsets = e.offsets[:0]
 }
 
 // Encode serializes m into the encoder's internal buffer and returns it.
@@ -68,11 +70,7 @@ func (e *Encoder) EncodeAppend(dst []byte, m *Message) ([]byte, error) {
 	saved := e.buf
 	e.buf = dst
 	e.base = len(dst)
-	if e.offsets == nil {
-		e.offsets = make(map[Name]int)
-	} else {
-		clear(e.offsets)
-	}
+	e.offsets = e.offsets[:0]
 	out, err := e.encode(m)
 	e.buf = saved
 	e.base = 0
@@ -170,12 +168,12 @@ func (e *Encoder) u32(v uint32) { e.buf = binary.BigEndian.AppendUint32(e.buf, v
 // name writes a possibly-compressed domain name.
 func (e *Encoder) name(n Name) {
 	for !n.IsRoot() {
-		if off, ok := e.offsets[n]; ok && off <= 0x3FFF {
+		if off, ok := e.offset(n); ok {
 			e.u16(0xC000 | uint16(off))
 			return
 		}
 		if off := len(e.buf) - e.base; off <= 0x3FFF {
-			e.offsets[n] = off
+			e.offsets = append(e.offsets, nameOffset{n, off})
 		}
 		label := string(n)
 		if i := strings.IndexByte(label, '.'); i >= 0 {
@@ -186,6 +184,16 @@ func (e *Encoder) name(n Name) {
 		n = n.Parent()
 	}
 	e.u8(0)
+}
+
+// offset returns where n was written in the current message, if it was.
+func (e *Encoder) offset(n Name) (int, bool) {
+	for _, o := range e.offsets {
+		if o.name == n {
+			return o.off, true
+		}
+	}
+	return 0, false
 }
 
 func (e *Encoder) rr(rr RR) error {

@@ -7,7 +7,9 @@
 #      owned-flag conflicts must fail fast with exit 2.
 #   2. paper-baseline must reproduce the flag-driven default dpsmeasure
 #      run byte-for-byte (timing lines aside) — the spec format adds
-#      provenance, never drift.
+#      provenance, never drift. Both sides run serially (-workers 1):
+#      parallel collection makes the logical-query counts depend on
+#      scheduling.
 #   3. The non-paper scenarios must run green, printing their provenance
 #      line to stderr.
 #   4. The defended-fleet scenarios must actually bite: both the
@@ -52,8 +54,8 @@ expect_exit2 "missing spec file" \
 
 # --- 2. paper-baseline == flag-driven default run ----------------------
 echo ">> paper-baseline byte-identity"
-"$work/dpsmeasure" > "$work/flags.out" 2>/dev/null
-"$work/dpsmeasure" -scenario scenarios/paper-baseline.json \
+"$work/dpsmeasure" -workers 1 > "$work/flags.out" 2>/dev/null
+"$work/dpsmeasure" -scenario scenarios/paper-baseline.json -workers 1 \
   > "$work/spec.out" 2> "$work/spec.err"
 grep -q 'scenario paper-baseline (sha256:' "$work/spec.err" || \
   { echo "FAIL: no provenance line on stderr"; cat "$work/spec.err"; exit 1; }
