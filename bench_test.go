@@ -31,6 +31,7 @@ import (
 	"rrdps/internal/httpsim"
 	"rrdps/internal/netsim"
 	"rrdps/internal/simtime"
+	"rrdps/internal/snapstore"
 	"rrdps/internal/world"
 )
 
@@ -139,17 +140,25 @@ func BenchmarkTable3StatusClassification(b *testing.B) {
 	w, matcher, domains := sharedWorld()
 	resolver := w.NewResolver(netsim.RegionOregon)
 	collector := collect.New(resolver, domains[:400])
-	snap := collector.Collect(w.Day())
+	store := snapstore.New()
+	dw := store.BeginDay(w.Day())
+	collector.CollectStream(w.Day(), dw.Put)
+	dw.Seal()
 	classifier := status.New(matcher)
 	b.ReportAllocs()
 	b.ResetTimer()
+	classified := 0
 	for i := 0; i < b.N; i++ {
-		classified := classifier.ClassifySnapshot(snap)
-		if len(classified) == 0 {
+		classified = 0
+		for cur := store.Cursor(w.Day()); cur.Next(); {
+			classifier.Classify(cur.Record())
+			classified++
+		}
+		if classified == 0 {
 			b.Fatal("no classifications")
 		}
 	}
-	b.ReportMetric(float64(len(snap.Records)), "domains/op")
+	b.ReportMetric(float64(classified), "domains/op")
 }
 
 // ---------------------------------------------------------------------------
@@ -164,14 +173,12 @@ func BenchmarkFigure2AdoptionBreakdown(b *testing.B) {
 	b.ResetTimer()
 	adopters := 0
 	for i := 0; i < b.N; i++ {
-		snap := collector.Collect(w.Day())
-		classified := classifier.ClassifySnapshot(snap)
 		adopters = 0
-		for _, a := range classified {
-			if a.Status != status.StatusNone {
+		collector.CollectStream(w.Day(), func(rec collect.Record) {
+			if classifier.Classify(rec).Status != status.StatusNone {
 				adopters++
 			}
-		}
+		})
 	}
 	b.ReportMetric(float64(adopters), "adopters")
 	b.ReportMetric(100*float64(adopters)/300, "adoption_pct")
@@ -327,10 +334,10 @@ func BenchmarkFigure7VantageSpread(b *testing.B) {
 func BenchmarkFigure8FilterPipeline(b *testing.B) {
 	w, matcher, domains := sharedWorld()
 	resolver := w.NewResolver(netsim.RegionOregon)
-	collector := collect.New(resolver, domains)
-	snap := collector.Collect(w.Day())
 	profile, _ := dps.ProfileFor(dps.Cloudflare)
-	_, nsAddrs := rrscan.DiscoverNameservers([]collect.Snapshot{snap}, profile, resolver)
+	discovery := rrscan.NewNameserverDiscovery(profile)
+	collect.New(resolver, domains).CollectStream(w.Day(), discovery.AddRecord)
+	_, nsAddrs := discovery.Resolve(resolver)
 	var vantage []*dnsresolver.Client
 	for _, region := range netsim.VantageRegions() {
 		vantage = append(vantage, w.NewResolver(region).Client())
@@ -406,14 +413,17 @@ func scanFixture() {
 		scanRes = w.NewResolver(netsim.RegionOregon)
 		collector := collect.New(scanRes, domains)
 		collector.SetWorkers(8)
-		snap := collector.Collect(w.Day())
 		profile, _ := dps.ProfileFor(dps.Cloudflare)
-		_, scanNSAddrs = rrscan.DiscoverNameservers([]collect.Snapshot{snap}, profile, scanRes)
+		discovery := rrscan.NewNameserverDiscovery(profile)
+		scanLib = rrscan.NewCNAMELibrary(dps.Incapsula, matcher)
+		collector.CollectStream(w.Day(), func(rec collect.Record) {
+			discovery.AddRecord(rec)
+			scanLib.AddRecord(rec.Domain.Apex, rec)
+		})
+		_, scanNSAddrs = discovery.Resolve(scanRes)
 		for _, region := range netsim.VantageRegions() {
 			scanVantage = append(scanVantage, w.NewResolver(region).Client())
 		}
-		scanLib = rrscan.NewCNAMELibrary(dps.Incapsula, matcher)
-		scanLib.AddSnapshot(snap)
 		scanScanned = rrscan.NewScanner(scanVantage).ScanDirect(scanNSAddrs, domains)
 	})
 }

@@ -27,13 +27,12 @@
 //     (internal/core/report). internal/attack adds the Fig. 1 DDoS
 //     bypass simulation.
 //
-// Snapshot flow: the campaign runners stream each day's collection
-// straight into a SnapshotStore (collector → store → streaming
-// classifier/differ → campaign aggregation) and bound retention with
-// SnapWindow, so memory stays flat over campaign length. Each campaign
-// kind has this one pipeline; golden files written by the retired
-// map-based pipeline pin its outputs. The map-based Snapshot remains as a
-// thin adapter — see the note on the Snapshot alias in rrdps.go.
+// Snapshot flow: every day's records flow through
+// Collector.CollectStream into a SnapshotStore (collector → store →
+// streaming classifier/differ → campaign aggregation) and are read back
+// through SnapshotView, SnapshotCursor and SnapshotPairCursor; SnapWindow
+// bounds retention, so memory stays flat over campaign length. Each
+// campaign kind has this one pipeline, and golden files pin its outputs.
 //
 // See README.md for a tour, DESIGN.md for the system inventory and
 // per-experiment index, and EXPERIMENTS.md for paper-vs-measured results.

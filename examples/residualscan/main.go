@@ -40,9 +40,10 @@ func main() {
 
 	// Step 0: discover Cloudflare's NS-rerouting nameservers from a
 	// regular collection snapshot, exactly as the paper does (§V-A.1).
-	snap := collector.Collect(w.Day())
 	profile, _ := dps.ProfileFor(dps.Cloudflare)
-	nsHosts, nsAddrs := rrscan.DiscoverNameservers([]collect.Snapshot{snap}, profile, resolver)
+	discovery := rrscan.NewNameserverDiscovery(profile)
+	collector.CollectStream(w.Day(), discovery.AddRecord)
+	nsHosts, nsAddrs := discovery.Resolve(resolver)
 	fmt.Printf("discovered %d cloudflare NS-rerouting nameservers, e.g. %s\n", len(nsHosts), nsHosts[0])
 
 	// Step 1: direct scan of every domain from five vantage points.

@@ -2,11 +2,31 @@ package experiment
 
 import (
 	"bytes"
+	"reflect"
 	"testing"
 
 	"rrdps/internal/snapdisk"
 	"rrdps/internal/snapstore"
 )
+
+// sameDay walks two cursors over one day in lockstep — the same records
+// in the same rank order, neither cursor running out first — and returns
+// how many records it compared.
+func sameDay(t *testing.T, day int, a, b *snapstore.Cursor) int {
+	t.Helper()
+	for n := 0; ; n++ {
+		okA, okB := a.Next(), b.Next()
+		if okA != okB {
+			t.Fatalf("day %d: one cursor ended at record %d", day, n)
+		}
+		if !okA {
+			return n
+		}
+		if a.Apex() != b.Apex() || !reflect.DeepEqual(a.Record(), b.Record()) {
+			t.Fatalf("day %d record %d: %s %+v != %s %+v", day, n, a.Apex(), a.Record(), b.Apex(), b.Record())
+		}
+	}
+}
 
 // TestDynamicsOnSealMatchesCheckpoint pins the live/checkpoint
 // equivalence the lookup service builds on: the blob and view the last
@@ -52,19 +72,8 @@ func TestDynamicsOnSealMatchesCheckpoint(t *testing.T) {
 	if lday, _ := loaded.LatestDay(); lday != day {
 		t.Fatalf("checkpoint latest day %d != view latest day %d", lday, day)
 	}
-	want := loaded.SnapshotAt(day)
-	got := views[last].SnapshotAt(day)
-	if len(got.Records) == 0 || len(got.Records) != len(want.Records) {
-		t.Fatalf("view snapshot has %d records, checkpoint %d", len(got.Records), len(want.Records))
-	}
-	for apex, rec := range want.Records {
-		g, ok := got.Records[apex]
-		if !ok {
-			t.Fatalf("view missing %s", apex)
-		}
-		if g.ResolveOK != rec.ResolveOK || len(g.Addrs) != len(rec.Addrs) {
-			t.Fatalf("view record for %s differs: %+v vs %+v", apex, g, rec)
-		}
+	if n := sameDay(t, day, loaded.Cursor(day), views[last].Cursor(day)); n == 0 {
+		t.Fatal("view replays no records")
 	}
 
 	// Every hook's blob must decode as a dynamics campaign state whose

@@ -75,54 +75,6 @@ func openCampaignPersist(dirPath string, every int, resume bool) (*campaignPersi
 	return &campaignPersist{dir: dir, every: every, lastCkpt: -1}, nil
 }
 
-// recovered is what resume found on disk.
-type recovered struct {
-	store *snapstore.Store
-	blob  []byte // campaign cursor: the checkpoint's, or the last sealed WAL footer's
-	ok    bool
-}
-
-// recoverState loads checkpoint + sealed WAL days. window is the
-// campaign's retention bound, applied when recovery starts from an
-// empty store (a crash before the first full checkpoint).
-func (p *campaignPersist) recoverState(window int) (recovered, error) {
-	st, blob, _, ok, err := p.dir.LatestCheckpoint()
-	if err != nil {
-		return recovered{}, err
-	}
-	var store *snapstore.Store
-	if ok {
-		if blob == nil {
-			return recovered{}, fmt.Errorf("experiment: checkpoint carries no campaign state")
-		}
-		store, err = snapstore.FromState(st)
-		if err != nil {
-			return recovered{}, err
-		}
-		store.SetWindow(window)
-	} else {
-		store = snapstore.New()
-		store.SetWindow(window)
-	}
-	days, _, err := snapdisk.ReplayWAL(p.dir.WALPath())
-	if err != nil {
-		return recovered{}, err
-	}
-	for _, wd := range days {
-		if last, has := store.LatestDay(); has && wd.Day <= last {
-			continue // already folded into the checkpoint
-		}
-		dw := store.BeginDay(wd.Day)
-		for _, rec := range wd.Records {
-			dw.Put(rec)
-		}
-		dw.Seal()
-		blob = wd.Footer
-		ok = true
-	}
-	return recovered{store: store, blob: blob, ok: ok}, nil
-}
-
 // openWAL opens the campaign WAL for appending. Call after recovery and
 // after the post-recovery checkpointNow (or after Clear): appending to a
 // torn tail would bury sealed groups behind garbage, so the WAL is

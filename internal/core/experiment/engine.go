@@ -110,15 +110,15 @@ func (c *campaign) open(window int, dir string, every int, resume bool) []byte {
 	if !resume {
 		return nil
 	}
-	rec, err := p.recoverState(window)
+	store, blob, ok, err := p.dir.Load(window)
 	if err != nil {
 		panic(fmt.Sprintf("experiment: recover: %v", err))
 	}
-	if !rec.ok {
+	if !ok {
 		return nil
 	}
-	c.store = rec.store
-	return rec.blob
+	c.store = store
+	return blob
 }
 
 // restore adopts the process state every cursor carries beyond the

@@ -17,7 +17,7 @@ import (
 // The campaign goldens under testdata/golden pin every output field of
 // both campaign kinds at fixed seeds and configurations. They were
 // written by the original map-based pipeline that materialized each day
-// as a full collect.Snapshot, so they carry its outputs forward as the
+// as a full per-day map, so they carry its outputs forward as the
 // reference the snapstore pipeline must keep reproducing. Rewrite them
 // only for a deliberate change of campaign semantics:
 //

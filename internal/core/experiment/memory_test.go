@@ -6,6 +6,7 @@ import (
 
 	"rrdps/internal/alexa"
 	"rrdps/internal/core/collect"
+	"rrdps/internal/dnsmsg"
 	"rrdps/internal/netsim"
 	"rrdps/internal/snapstore"
 	"rrdps/internal/world"
@@ -46,11 +47,14 @@ func memoryCampaign(domains, days int, collectDay func(c *collect.Collector, day
 }
 
 // retainLegacySnapshots is the map-based baseline: a campaign that keeps
-// its history retains one full map snapshot per day.
+// its history retains one full map per day, every domain's record keyed
+// by apex.
 func retainLegacySnapshots(domains, days int) any {
-	var snaps []collect.Snapshot
+	var snaps []map[dnsmsg.Name]collect.Record
 	memoryCampaign(domains, days, func(c *collect.Collector, day int) {
-		snaps = append(snaps, c.Collect(day))
+		records := make(map[dnsmsg.Name]collect.Record, domains)
+		c.CollectStream(day, func(rec collect.Record) { records[rec.Domain.Apex] = rec })
+		snaps = append(snaps, records)
 	})
 	return snaps
 }
@@ -70,7 +74,7 @@ func retainSnapstore(domains, days, window int) any {
 
 // TestSnapstoreMemoryReduction is the acceptance guard for the tentpole's
 // memory claim: retaining a 30-day campaign in the delta store must cost
-// at most half of what the map-based []Snapshot history costs (in practice
+// at most half of what a per-day map history costs (in practice
 // the ratio is far larger; 2x keeps the guard robust across GC accounting
 // noise and -race overhead).
 func TestSnapstoreMemoryReduction(t *testing.T) {

@@ -13,11 +13,11 @@ package htmlverify
 import (
 	"fmt"
 	"net/netip"
-	"sync"
 
 	"rrdps/internal/dnsmsg"
 	"rrdps/internal/httpsim"
 	"rrdps/internal/obs"
+	"rrdps/internal/parallel"
 )
 
 // Result is one verification outcome.
@@ -102,26 +102,9 @@ func (v *Verifier) VerifyBatch(host dnsmsg.Name, refAddr netip.Addr, candAddrs [
 	span.SetItems(len(candAddrs))
 	defer span.End()
 	out := make([]Result, len(candAddrs))
-	if workers <= 1 || len(candAddrs) <= 1 {
-		for i, cand := range candAddrs {
-			out[i] = v.Verify(host, refAddr, cand)
-		}
-		return out
-	}
-	if workers > len(candAddrs) {
-		workers = len(candAddrs)
-	}
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for i := w; i < len(candAddrs); i += workers {
-				out[i] = v.Verify(host, refAddr, candAddrs[i])
-			}
-		}(w)
-	}
-	wg.Wait()
+	parallel.For(workers, len(out), out, func(out []Result, i int) {
+		out[i] = v.Verify(host, refAddr, candAddrs[i])
+	})
 	return out
 }
 

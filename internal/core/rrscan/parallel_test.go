@@ -4,9 +4,7 @@ import (
 	"net/netip"
 	"testing"
 
-	"rrdps/internal/core/collect"
 	"rrdps/internal/dnsmsg"
-	"rrdps/internal/dps"
 )
 
 func sameScanResults(t *testing.T, serial, parallel map[dnsmsg.Name][]netip.Addr) {
@@ -35,9 +33,7 @@ func sameScanResults(t *testing.T, serial, parallel map[dnsmsg.Name][]netip.Addr
 // (run under -race in CI, this also proves the path race-free).
 func TestScanDirectParallelMatchesSerial(t *testing.T) {
 	f := newFixture(t, 400)
-	snap := f.collector.Collect(0)
-	profile, _ := dps.ProfileFor(dps.Cloudflare)
-	_, nsAddrs := DiscoverNameservers([]collect.Snapshot{snap}, profile, f.resolver)
+	_, nsAddrs := f.discoverCloudflareNS()
 	if len(nsAddrs) == 0 {
 		t.Fatal("no nameservers discovered")
 	}
@@ -57,9 +53,7 @@ func TestScanDirectParallelMatchesSerial(t *testing.T) {
 // TestScanDirectHostsParallelMatchesSerial covers the generalized host scan.
 func TestScanDirectHostsParallelMatchesSerial(t *testing.T) {
 	f := newFixture(t, 300)
-	snap := f.collector.Collect(0)
-	profile, _ := dps.ProfileFor(dps.Cloudflare)
-	_, nsAddrs := DiscoverNameservers([]collect.Snapshot{snap}, profile, f.resolver)
+	_, nsAddrs := f.discoverCloudflareNS()
 	if len(nsAddrs) == 0 {
 		t.Fatal("no nameservers discovered")
 	}
@@ -80,9 +74,7 @@ func TestScanDirectHostsParallelMatchesSerial(t *testing.T) {
 // worker count.
 func TestScannerVantageRotationStableAcrossCalls(t *testing.T) {
 	f := newFixture(t, 200)
-	snap := f.collector.Collect(0)
-	profile, _ := dps.ProfileFor(dps.Cloudflare)
-	_, nsAddrs := DiscoverNameservers([]collect.Snapshot{snap}, profile, f.resolver)
+	_, nsAddrs := f.discoverCloudflareNS()
 	if len(nsAddrs) == 0 {
 		t.Fatal("no nameservers discovered")
 	}
@@ -101,9 +93,7 @@ func TestScannerVantageRotationStableAcrossCalls(t *testing.T) {
 // re-resolution path with a worker pool.
 func TestCNAMELibraryResolveAllParallelMatchesSerial(t *testing.T) {
 	f := newFixture(t, 1200)
-	snap := f.collector.Collect(0)
-	lib := NewCNAMELibrary(dps.Incapsula, f.matcher)
-	lib.AddSnapshot(snap)
+	lib := f.incapsulaLibrary()
 	if lib.Size() == 0 {
 		t.Skip("no incapsula sites in sample")
 	}

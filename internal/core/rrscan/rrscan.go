@@ -10,7 +10,6 @@ import (
 	"fmt"
 	"net/netip"
 	"sort"
-	"sync"
 
 	"rrdps/internal/alexa"
 	"rrdps/internal/core/collect"
@@ -19,14 +18,14 @@ import (
 	"rrdps/internal/dnsresolver"
 	"rrdps/internal/dps"
 	"rrdps/internal/obs"
+	"rrdps/internal/parallel"
 )
 
 // NameserverDiscovery accumulates a provider's NS-hosting nameserver
 // hostnames (for Cloudflare: the *.ns.cloudflare.com pool, which the
 // paper finds is exclusive to NS-rerouting customers) from streamed
-// records, then resolves them. It is the streaming form of
-// DiscoverNameservers: feed it each record as a snapstore cursor yields
-// one, no snapshot map required.
+// records, then resolves them: feed it each record as a snapstore cursor
+// yields one.
 type NameserverDiscovery struct {
 	profile dps.Profile
 	seen    map[dnsmsg.Name]bool
@@ -70,19 +69,6 @@ func (d *NameserverDiscovery) Resolve(resolver *dnsresolver.Resolver) (hosts []d
 		}
 	}
 	return hosts, addrs
-}
-
-// DiscoverNameservers extracts, from collected snapshots, the hostnames of
-// the provider's NS-hosting nameservers and resolves each to an address —
-// the legacy map-based entry over NameserverDiscovery.
-func DiscoverNameservers(snaps []collect.Snapshot, profile dps.Profile, resolver *dnsresolver.Resolver) (hosts []dnsmsg.Name, addrs []netip.Addr) {
-	d := NewNameserverDiscovery(profile)
-	for _, snap := range snaps {
-		for _, rec := range snap.Records {
-			d.AddRecord(rec)
-		}
-	}
-	return d.Resolve(resolver)
 }
 
 // Scanner issues the direct scans from a set of vantage-point clients.
@@ -224,7 +210,7 @@ func (s *Scanner) scan(nsAddrs []netip.Addr, n int, item func(i int) (key, qname
 	}
 
 	results := make([][]netip.Addr, n)
-	one := func(i int) {
+	parallel.For(s.workers, n, results, func(results [][]netip.Addr, i int) {
 		client := s.vantage[(base+i)%len(s.vantage)]
 		_, qname := item(i)
 		// The i-th query's primary nameserver follows the serial rotation;
@@ -244,15 +230,7 @@ func (s *Scanner) scan(nsAddrs []netip.Addr, n int, item func(i int) (key, qname
 			addrs = append(addrs, rr.Data.(dnsmsg.AData).Addr)
 		}
 		results[i] = addrs
-	}
-
-	if s.workers <= 1 || n <= 1 {
-		for i := 0; i < n; i++ {
-			one(i)
-		}
-	} else {
-		runIndexed(s.workers, n, one)
-	}
+	})
 
 	out := make(map[dnsmsg.Name][]netip.Addr)
 	for i := 0; i < n; i++ {
@@ -270,25 +248,6 @@ func (s *Scanner) scan(nsAddrs []netip.Addr, n int, item func(i int) (key, qname
 		s.obs.Counter("scan.answered").Add(uint64(len(out)))
 	}
 	return out
-}
-
-// runIndexed runs fn(0..n-1) over a bounded pool of workers goroutines,
-// dealing indices round-robin so no channel hand-off is needed.
-func runIndexed(workers, n int, fn func(i int)) {
-	if workers > n {
-		workers = n
-	}
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for i := w; i < n; i += workers {
-				fn(i)
-			}
-		}(w)
-	}
-	wg.Wait()
 }
 
 // CNAMELibrary accumulates the provider CNAME targets ever observed per
@@ -332,17 +291,8 @@ func (l *CNAMELibrary) SetWorkers(n int) {
 // counters and re-resolution spans; nil uninstalls.
 func (l *CNAMELibrary) SetObserver(r *obs.Registry) { l.obs = r }
 
-// AddSnapshot records every CNAME target in the snapshot attributed to the
-// library's provider — the legacy map-based entry over AddRecord.
-func (l *CNAMELibrary) AddSnapshot(snap collect.Snapshot) {
-	for apex, rec := range snap.Records {
-		l.AddRecord(apex, rec)
-	}
-}
-
-// AddRecord records one domain's provider-attributed CNAME targets — the
-// streaming form of AddSnapshot, fed record by record from a snapstore
-// cursor.
+// AddRecord records one domain's provider-attributed CNAME targets, fed
+// record by record from a snapstore cursor.
 func (l *CNAMELibrary) AddRecord(apex dnsmsg.Name, rec collect.Record) {
 	for _, target := range rec.CNAMEs {
 		key, ok := l.matcher.MatchCNAME(target)
@@ -392,7 +342,7 @@ func (l *CNAMELibrary) ResolveAll(resolver *dnsresolver.Resolver) map[dnsmsg.Nam
 	span.SetItems(len(apexes))
 	defer span.End()
 	results := make([][]netip.Addr, len(apexes))
-	one := func(i int) {
+	parallel.For(l.workers, len(apexes), results, func(results [][]netip.Addr, i int) {
 		for _, target := range l.Targets(apexes[i]) {
 			res, err := resolver.Resolve(target, dnsmsg.TypeA)
 			if err != nil {
@@ -402,14 +352,7 @@ func (l *CNAMELibrary) ResolveAll(resolver *dnsresolver.Resolver) map[dnsmsg.Nam
 				results[i] = append(results[i], addrs...)
 			}
 		}
-	}
-	if l.workers <= 1 || len(apexes) <= 1 {
-		for i := range apexes {
-			one(i)
-		}
-	} else {
-		runIndexed(l.workers, len(apexes), one)
-	}
+	})
 	out := make(map[dnsmsg.Name][]netip.Addr)
 	for i, apex := range apexes {
 		if len(results[i]) > 0 {

@@ -1,6 +1,7 @@
 package rrscan
 
 import (
+	"net/netip"
 	"testing"
 
 	"rrdps/internal/alexa"
@@ -64,11 +65,27 @@ func (f *fixture) sitesWith(key dps.ProviderKey, method dps.Rerouting) []*websit
 	return out
 }
 
-func TestDiscoverNameservers(t *testing.T) {
-	f := newFixture(t, 300)
-	snap := f.collector.Collect(0)
+// discoverCloudflareNS streams collection day 0 through a nameserver
+// discovery pass and resolves the Cloudflare pool, as the residual
+// campaign does from its store cursor.
+func (f *fixture) discoverCloudflareNS() (hosts []dnsmsg.Name, addrs []netip.Addr) {
 	profile, _ := dps.ProfileFor(dps.Cloudflare)
-	hosts, addrs := DiscoverNameservers([]collect.Snapshot{snap}, profile, f.resolver)
+	d := NewNameserverDiscovery(profile)
+	f.collector.CollectStream(0, d.AddRecord)
+	return d.Resolve(f.resolver)
+}
+
+// incapsulaLibrary streams collection day 0 into an Incapsula CNAME
+// library.
+func (f *fixture) incapsulaLibrary() *CNAMELibrary {
+	lib := NewCNAMELibrary(dps.Incapsula, f.matcher)
+	f.collector.CollectStream(0, func(rec collect.Record) { lib.AddRecord(rec.Domain.Apex, rec) })
+	return lib
+}
+
+func TestNameserverDiscovery(t *testing.T) {
+	f := newFixture(t, 300)
+	hosts, addrs := f.discoverCloudflareNS()
 	if len(hosts) == 0 || len(addrs) != len(hosts) {
 		t.Fatalf("hosts = %d, addrs = %d", len(hosts), len(addrs))
 	}
@@ -86,9 +103,7 @@ func TestDiscoverNameservers(t *testing.T) {
 
 func TestScanDirectActiveCustomersReturnEdges(t *testing.T) {
 	f := newFixture(t, 300)
-	snap := f.collector.Collect(0)
-	profile, _ := dps.ProfileFor(dps.Cloudflare)
-	_, nsAddrs := DiscoverNameservers([]collect.Snapshot{snap}, profile, f.resolver)
+	_, nsAddrs := f.discoverCloudflareNS()
 
 	results := f.scanner.ScanDirect(nsAddrs, f.collector.Domains())
 	cfSites := f.sitesWith(dps.Cloudflare, dps.ReroutingNS)
@@ -118,9 +133,7 @@ func TestScanDirectActiveCustomersReturnEdges(t *testing.T) {
 // customer switches away, the old provider's nameservers leak the origin.
 func TestScanDirectResidualAfterSwitch(t *testing.T) {
 	f := newFixture(t, 300)
-	snap := f.collector.Collect(0)
-	profile, _ := dps.ProfileFor(dps.Cloudflare)
-	_, nsAddrs := DiscoverNameservers([]collect.Snapshot{snap}, profile, f.resolver)
+	_, nsAddrs := f.discoverCloudflareNS()
 
 	cfSites := f.sitesWith(dps.Cloudflare, dps.ReroutingNS)
 	if len(cfSites) < 3 {
@@ -156,9 +169,7 @@ func TestScanDirectResidualAfterSwitch(t *testing.T) {
 
 func TestScanSpreadsAcrossVantagePoints(t *testing.T) {
 	f := newFixture(t, 200)
-	snap := f.collector.Collect(0)
-	profile, _ := dps.ProfileFor(dps.Cloudflare)
-	_, nsAddrs := DiscoverNameservers([]collect.Snapshot{snap}, profile, f.resolver)
+	_, nsAddrs := f.discoverCloudflareNS()
 	if len(nsAddrs) == 0 {
 		t.Fatal("no nameservers discovered")
 	}
@@ -174,10 +185,7 @@ func TestScanSpreadsAcrossVantagePoints(t *testing.T) {
 
 func TestCNAMELibrary(t *testing.T) {
 	f := newFixture(t, 1200)
-	snap := f.collector.Collect(0)
-
-	lib := NewCNAMELibrary(dps.Incapsula, f.matcher)
-	lib.AddSnapshot(snap)
+	lib := f.incapsulaLibrary()
 	incSites := f.sitesWith(dps.Incapsula, dps.ReroutingCNAME)
 	if len(incSites) == 0 {
 		t.Skip("no incapsula sites in sample")
@@ -209,9 +217,7 @@ func TestCNAMELibrary(t *testing.T) {
 
 func TestCNAMELibraryIgnoresOtherProviders(t *testing.T) {
 	f := newFixture(t, 400)
-	snap := f.collector.Collect(0)
-	lib := NewCNAMELibrary(dps.Incapsula, f.matcher)
-	lib.AddSnapshot(snap)
+	lib := f.incapsulaLibrary()
 	for _, apex := range lib.Apexes() {
 		site, _ := f.w.Site(apex)
 		key, _, _ := site.Provider()
@@ -225,9 +231,7 @@ func TestCNAMELibraryIgnoresOtherProviders(t *testing.T) {
 // a DPS-hosted subdomain's residual record leaks just like www's.
 func TestScanDirectHostsSubdomains(t *testing.T) {
 	f := newFixture(t, 300)
-	snap := f.collector.Collect(0)
-	profile, _ := dps.ProfileFor(dps.Cloudflare)
-	_, nsAddrs := DiscoverNameservers([]collect.Snapshot{snap}, profile, f.resolver)
+	_, nsAddrs := f.discoverCloudflareNS()
 
 	victim := f.sitesWith(dps.Cloudflare, dps.ReroutingNS)[0]
 	apex := victim.Domain().Apex

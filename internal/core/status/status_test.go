@@ -2,7 +2,6 @@ package status
 
 import (
 	"net/netip"
-	"reflect"
 	"testing"
 
 	"rrdps/internal/alexa"
@@ -12,7 +11,6 @@ import (
 	"rrdps/internal/dps"
 	"rrdps/internal/ipspace"
 	"rrdps/internal/netsim"
-	"rrdps/internal/snapstore"
 	"rrdps/internal/world"
 )
 
@@ -153,18 +151,6 @@ func TestNonNSHostingProviderNSMatchIsNone(t *testing.T) {
 	}
 }
 
-func TestClassifySnapshot(t *testing.T) {
-	c := newClassifier(t)
-	snap := collect.Snapshot{Day: 3, Records: map[dnsmsg.Name]collect.Record{
-		"a.com": rec("104.16.0.1", nil, []string{"kate.ns.cloudflare.com"}),
-		"b.com": rec("81.0.0.1", nil, []string{"ns1.webhost.net"}),
-	}}
-	got := c.ClassifySnapshot(snap)
-	if got["a.com"].Status != StatusOn || got["b.com"].Status != StatusNone {
-		t.Fatalf("snapshot classification = %+v", got)
-	}
-}
-
 func TestStatusString(t *testing.T) {
 	if StatusOn.String() != "ON" || StatusOff.String() != "OFF" || StatusNone.String() != "NONE" {
 		t.Fatal("status strings wrong")
@@ -218,52 +204,5 @@ func TestSharedEdgeCustomersAreEliminated(t *testing.T) {
 	}
 	if akamaiOn == 0 {
 		t.Fatal("no normally classified akamai customers")
-	}
-}
-
-// TestClassifyStreamMatchesSnapshot feeds ClassifyStream from a real
-// snapstore cursor and checks it yields exactly the verdicts
-// ClassifySnapshot computes for the materialized day — the contract the
-// streaming campaign pipeline rides on.
-func TestClassifyStreamMatchesSnapshot(t *testing.T) {
-	c := newClassifier(t)
-
-	mk := func(rank int, apex dnsmsg.Name, addr string, cnames, nsHosts []string) collect.Record {
-		r := rec(addr, cnames, nsHosts)
-		r.Domain = alexa.Domain{Rank: rank, Apex: apex}
-		return r
-	}
-	store := snapstore.New()
-	dw := store.BeginDay(0)
-	dw.Put(mk(3, "plain.com", "81.0.0.1", nil, []string{"ns1.webhost.net"}))
-	dw.Put(mk(1, "cf.com", "104.16.0.1", nil, []string{"kate.ns.cloudflare.com"}))
-	dw.Put(mk(2, "inc.com", "199.83.128.4", []string{"tok.x.incapdns.net"}, nil))
-	dw.Put(mk(4, "paused.com", "81.5.5.5", nil, []string{"rob.ns.cloudflare.com"}))
-	dw.Seal()
-
-	want := c.ClassifySnapshot(store.SnapshotAt(0))
-
-	got := make(map[dnsmsg.Name]Adoption, len(want))
-	var order []dnsmsg.Name
-	n := c.ClassifyStream(store.Cursor(0), func(apex dnsmsg.Name, r collect.Record, a Adoption) {
-		if r.Domain.Apex != apex {
-			t.Errorf("record for %q carries apex %q", apex, r.Domain.Apex)
-		}
-		got[apex] = a
-		order = append(order, apex)
-	})
-
-	if n != len(want) {
-		t.Fatalf("ClassifyStream classified %d records, want %d", n, len(want))
-	}
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("stream verdicts = %+v\nwant %+v", got, want)
-	}
-	wantOrder := []dnsmsg.Name{"cf.com", "inc.com", "plain.com", "paused.com"}
-	if !reflect.DeepEqual(order, wantOrder) {
-		t.Fatalf("stream order = %v, want rank order %v", order, wantOrder)
-	}
-	if got["cf.com"].Status != StatusOn || got["paused.com"].Status != StatusOff {
-		t.Fatalf("spot-check verdicts wrong: %+v", got)
 	}
 }

@@ -11,7 +11,6 @@ import (
 
 	"rrdps/internal/core/experiment"
 	"rrdps/internal/snapdisk"
-	"rrdps/internal/snapstore"
 )
 
 // FollowSource tails a live campaign's checkpoint directory: each
@@ -23,13 +22,9 @@ import (
 // process: the checkpoint is an atomic rename, and WAL replay drops any
 // torn tail, so a reader racing the writer sees complete rounds only.
 //
-// Read ordering inside Refresh is load-bearing: the WAL bytes are
-// captured BEFORE the checkpoint is picked. The WAL only ever holds the
-// day groups sealed after some checkpoint C; a checkpoint read later is
-// C or newer, so every WAL day beyond the checkpoint's coverage extends
-// it contiguously. Reading the checkpoint first would race the writer's
-// checkpoint-then-truncate step: a WAL captured after the truncate can
-// start past the stale checkpoint's coverage, leaving a day gap.
+// The fold is snapdisk.Dir.Load, the same one a resuming campaign runs;
+// its read ordering (WAL before checkpoint) is what makes it safe to run
+// against a live writer.
 type FollowSource struct {
 	dir *snapdisk.Dir
 	cur atomic.Pointer[Epoch]
@@ -89,46 +84,12 @@ func (s *FollowSource) Refresh() (swapped bool, err error) {
 		return false, nil
 	}
 
-	// WAL first — see the type comment for why this ordering is correct.
-	walBytes, err := os.ReadFile(s.dir.WALPath())
-	if err != nil && !os.IsNotExist(err) {
-		return false, err
-	}
-
-	st, blob, _, ok, err := s.dir.LatestCheckpoint()
+	// Window 0 keeps the retention bound the checkpoint carries.
+	store, blob, ok, err := s.dir.Load(0)
 	if err != nil {
 		return false, err
 	}
-	var store *snapstore.Store
-	if ok {
-		if blob == nil {
-			return false, fmt.Errorf("serve: checkpoint in %s carries no campaign state", s.dir.Path())
-		}
-		store, err = snapstore.FromState(st)
-		if err != nil {
-			return false, err
-		}
-	} else {
-		store = snapstore.New()
-	}
-
-	// Fold the sealed WAL groups past the checkpoint's coverage; a torn
-	// tail is dropped by ReplayWALBytes, so only complete rounds land.
-	days, _ := snapdisk.ReplayWALBytes(walBytes)
-	haveState := ok
-	for _, wd := range days {
-		if last, has := store.LatestDay(); has && wd.Day <= last {
-			continue // already folded into the checkpoint
-		}
-		dw := store.BeginDay(wd.Day)
-		for _, rec := range wd.Records {
-			dw.Put(rec)
-		}
-		dw.Seal()
-		blob = wd.Footer
-		haveState = true
-	}
-	if !haveState {
+	if !ok {
 		// Nothing sealed yet; keep reporting "no epoch".
 		s.lastSig = sig
 		return false, nil

@@ -44,6 +44,7 @@ import (
 	"rrdps/internal/dnsresolver"
 	"rrdps/internal/netsim"
 	"rrdps/internal/obs"
+	"rrdps/internal/parallel"
 	"rrdps/internal/world"
 )
 
@@ -120,26 +121,10 @@ func (c common) runnable() []int {
 func (c common) forEachShard(fn func(shard int)) {
 	todo := c.runnable()
 	workers := c.shardWorkers
-	if workers <= 0 || workers > len(todo) {
+	if workers <= 0 {
 		workers = len(todo)
 	}
-	if workers <= 1 {
-		for _, i := range todo {
-			fn(i)
-		}
-		return
-	}
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for k := w; k < len(todo); k += workers {
-				fn(todo[k])
-			}
-		}(w)
-	}
-	wg.Wait()
+	parallel.For(workers, len(todo), todo, func(todo []int, k int) { fn(todo[k]) })
 }
 
 // Dynamics drives the §IV usage-dynamics campaign across shards. Every

@@ -314,7 +314,7 @@ func OpenDir(path string) (*Dir, error) {
 // OpenDirReadOnly opens an existing checkpoint directory for reading —
 // the lookup-service path. Unlike OpenDir it never creates the
 // directory, and a consumer holding a read-only Dir must only call
-// LatestCheckpoint: the WAL append path (and the campaign code that
+// LatestCheckpoint and Load: the WAL append path (and the campaign code that
 // truncates the WAL on open) belongs to the campaign that owns the
 // directory. A missing directory is an error, not an empty campaign,
 // because a reader pointed at the wrong path should say so rather than
@@ -417,4 +417,60 @@ func (d *Dir) Clear() error {
 		return fmt.Errorf("snapdisk: %w", err)
 	}
 	return nil
+}
+
+// Load rebuilds the durable state the directory holds: the newest valid
+// checkpoint plus the sealed WAL day groups past it, the recovery
+// invariant both a resuming campaign and a following reader rely on.
+// campaign is the cursor blob of the last state folded in — the last
+// sealed WAL footer, else the checkpoint's. ok is false when nothing is
+// durable yet (no checkpoint, no sealed WAL group). A torn WAL tail is
+// dropped, so only complete rounds land. A checkpoint without campaign
+// state is an error: the cursor is what every caller restores from.
+//
+// A positive window is the store's retention bound, set before the WAL
+// folds in so the fold evicts exactly as the live campaign did; 0 keeps
+// the bound the checkpoint carries (unbounded without one).
+//
+// The WAL bytes are read BEFORE the checkpoint is picked, which is what
+// makes Load safe against a live writer. The WAL only ever holds the day
+// groups sealed after some checkpoint C; a checkpoint read later is C or
+// newer, so every WAL day past its coverage extends it contiguously.
+// Reading the checkpoint first would race the writer's
+// checkpoint-then-truncate step: a WAL captured after the truncate can
+// start past the stale checkpoint's coverage, leaving a day gap.
+func (d *Dir) Load(window int) (store *snapstore.Store, campaign []byte, ok bool, err error) {
+	wal, err := os.ReadFile(d.WALPath())
+	if err != nil && !os.IsNotExist(err) {
+		return nil, nil, false, fmt.Errorf("snapdisk: %w", err)
+	}
+	st, campaign, _, ok, err := d.LatestCheckpoint()
+	if err != nil {
+		return nil, nil, false, err
+	}
+	store = snapstore.New()
+	if ok {
+		if campaign == nil {
+			return nil, nil, false, fmt.Errorf("snapdisk: checkpoint in %s carries no campaign state", d.path)
+		}
+		if store, err = snapstore.FromState(st); err != nil {
+			return nil, nil, false, err
+		}
+	}
+	if window > 0 {
+		store.SetWindow(window)
+	}
+	days, _ := ReplayWALBytes(wal)
+	for _, wd := range days {
+		if last, has := store.LatestDay(); has && wd.Day <= last {
+			continue // already folded into the checkpoint
+		}
+		dw := store.BeginDay(wd.Day)
+		for _, rec := range wd.Records {
+			dw.Put(rec)
+		}
+		dw.Seal()
+		campaign, ok = wd.Footer, true
+	}
+	return store, campaign, ok, nil
 }

@@ -39,9 +39,7 @@ func TestStateRoundTripExact(t *testing.T) {
 		t.Fatalf("days: %v != %v", s.Days(), s2.Days())
 	}
 	for _, day := range s.Days() {
-		if !reflect.DeepEqual(s.SnapshotAt(day), s2.SnapshotAt(day)) {
-			t.Fatalf("day %d snapshots differ", day)
-		}
+		sameDay(t, day, s.Cursor(day), s2.Cursor(day))
 	}
 	// The restored store keeps appending: diff against the pre-restore
 	// tail works and interning resumes without duplicating names.
@@ -101,7 +99,7 @@ func TestRestoreThenGrowWindow(t *testing.T) {
 	if got := s2.Days(); !reflect.DeepEqual(got, []int{5, 6, 7, 8}) {
 		t.Fatalf("grown-window days = %v, want [5 6 7 8]", got)
 	}
-	if r, ok := s2.RecordAt(name("alpha.com"), 5); !ok || r.Addrs[0] != addr("10.0.0.6") {
+	if r, ok := s2.SealedView().RecordAt(name("alpha.com"), 5); !ok || r.Addrs[0] != addr("10.0.0.6") {
 		t.Fatalf("pre-restore day 5 after grow: %v %v", r, ok)
 	}
 }

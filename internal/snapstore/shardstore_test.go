@@ -91,7 +91,7 @@ func TestShardStoresPartitionApexes(t *testing.T) {
 	_, shards := fillStores(days)
 	seen := make(map[dnsmsg.Name]int)
 	for i, store := range shards {
-		for _, apex := range store.Apexes() {
+		for _, apex := range store.SealedView().Apexes() {
 			if prev, dup := seen[apex]; dup {
 				t.Fatalf("%s appears in shard %d and shard %d stores — cross-shard leak", apex, prev, i)
 			}
@@ -104,7 +104,7 @@ func TestShardStoresPartitionApexes(t *testing.T) {
 	// Union covers the whole population.
 	total := 0
 	for _, store := range shards {
-		total += len(store.Apexes())
+		total += len(store.SealedView().Apexes())
 	}
 	if total != 300 {
 		t.Fatalf("shard stores hold %d apexes, want 300", total)

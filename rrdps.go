@@ -132,15 +132,6 @@ var CompileScenario = scenario.Compile
 // Collector takes daily A/CNAME/NS snapshots.
 type Collector = collect.Collector
 
-// Snapshot is one day's collected records as a full map.
-//
-// Snapshot is an adapter kept so map-based callers still compile; no
-// campaign uses it. New code should stream Collector.CollectStream into
-// a SnapshotStore and read days back through SnapshotCursor /
-// SnapshotPairCursor (or SnapshotStore.SnapshotAt when a map really is
-// needed), as the campaign runners do.
-type Snapshot = collect.Snapshot
-
 // SnapshotStore is the append-only, delta-encoded, name-interned store for
 // daily snapshots: each day costs only what changed, any retained day
 // replays as a virtual full snapshot, and SetWindow bounds retention for
@@ -176,9 +167,6 @@ var NewSnapshotStore = snapstore.New
 // SnapshotState is a SnapshotStore's full logical state in plain slices —
 // the unit the checkpoint format serializes.
 type SnapshotState = snapstore.State
-
-// ExportSnapshotState captures a store's state for checkpointing.
-func ExportSnapshotState(s *SnapshotStore) SnapshotState { return s.ExportState() }
 
 // SnapshotStoreFromState rebuilds a store from a checkpointed state,
 // validating every internal invariant.
@@ -325,9 +313,12 @@ var NewExposureTracker = exposure.NewTracker
 // NewScanner builds a direct scanner over vantage clients.
 var NewScanner = rrscan.NewScanner
 
-// DiscoverNameservers extracts a provider's NS-hosting nameservers from
-// snapshots.
-var DiscoverNameservers = rrscan.DiscoverNameservers
+// NameserverDiscovery accumulates a provider's NS-hosting nameservers
+// from streamed records (AddRecord), then resolves them (Resolve).
+type NameserverDiscovery = rrscan.NameserverDiscovery
+
+// NewNameserverDiscovery starts a discovery pass for a provider profile.
+var NewNameserverDiscovery = rrscan.NewNameserverDiscovery
 
 // ---------------------------------------------------------------------------
 // Providers, sites, DNS.
