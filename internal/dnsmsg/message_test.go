@@ -2,6 +2,7 @@ package dnsmsg
 
 import (
 	"net/netip"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -83,5 +84,28 @@ func TestStringForms(t *testing.T) {
 func TestRRTypeNilData(t *testing.T) {
 	if got := (RR{}).Type(); got != 0 {
 		t.Fatalf("zero RR Type() = %v, want 0", got)
+	}
+}
+
+func TestNSPayloadsShareBoxes(t *testing.T) {
+	p := make(NSPayloads)
+	p.Add("ns1.webhost.net", "ns2.webhost.net", "ns1.webhost.net")
+	if len(p) != 2 {
+		t.Fatalf("NSPayloads holds %d hosts, want 2", len(p))
+	}
+	for _, host := range []Name{"ns1.webhost.net", "ns3.elsewhere.org"} {
+		got := p.NS("example.com", time.Hour, host)
+		if want := NewNS("example.com", time.Hour, host); !reflect.DeepEqual(got, want) {
+			t.Errorf("NS(%s) = %v, want %v", host, got, want)
+		}
+	}
+	if allocs := testing.AllocsPerRun(100, func() {
+		_ = p.NS("example.com", time.Hour, "ns2.webhost.net")
+	}); allocs != 0 {
+		t.Errorf("NS for a held host allocates %.0f times, want 0", allocs)
+	}
+	var none NSPayloads
+	if got := none.NS("example.com", time.Hour, "ns1.webhost.net"); got.Data.(NSData).Host != "ns1.webhost.net" {
+		t.Errorf("nil NSPayloads NS = %v", got)
 	}
 }

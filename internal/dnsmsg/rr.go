@@ -168,6 +168,30 @@ func NewNS(name Name, ttl time.Duration, host Name) RR {
 	return RR{Name: name, Class: ClassIN, TTL: ttl, Data: NSData{Host: host}}
 }
 
+// NSPayloads holds one boxed NS payload per nameserver host. Converting
+// NSData to RData allocates, so the thousands of zones and delegations
+// naming the same few hosts share one box each instead of boxing their
+// own; records are values with an immutable payload, so sharing is safe.
+// Fill it before use and only read it afterwards.
+type NSPayloads map[Name]RData
+
+// Add boxes the payload of each host not already held.
+func (p NSPayloads) Add(hosts ...Name) {
+	for _, h := range hosts {
+		if _, ok := p[h]; !ok {
+			p[h] = NSData{Host: h}
+		}
+	}
+}
+
+// NS is NewNS sharing host's boxed payload when p holds one.
+func (p NSPayloads) NS(name Name, ttl time.Duration, host Name) RR {
+	if data, ok := p[host]; ok {
+		return RR{Name: name, Class: ClassIN, TTL: ttl, Data: data}
+	}
+	return NewNS(name, ttl, host)
+}
+
 // NewCNAME builds a CNAME record.
 func NewCNAME(name Name, ttl time.Duration, target Name) RR {
 	return RR{Name: name, Class: ClassIN, TTL: ttl, Data: CNAMEData{Target: target}}

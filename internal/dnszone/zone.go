@@ -10,7 +10,9 @@ package dnszone
 
 import (
 	"fmt"
+	"slices"
 	"sort"
+	"strings"
 	"sync"
 	"time"
 
@@ -73,24 +75,47 @@ type Result struct {
 type Zone struct {
 	origin dnsmsg.Name
 
-	mu      sync.RWMutex
-	rrsets  map[dnsmsg.Name]map[dnsmsg.Type][]dnsmsg.RR
-	soa     dnsmsg.RR
-	serial  uint32
-	hasNode map[dnsmsg.Name]bool // every name with records or with records below it
+	mu     sync.RWMutex
+	owners map[dnsmsg.Name]owner // every node of the zone tree, the origin included
+	soa    dnsmsg.SOAData        // boxed into a record, with the current serial, on demand
+	serial uint32
+}
+
+// owner is one node of the zone tree. Its records sit in one slice,
+// grouped by type: types in the order they were first added, records in
+// insertion order within a type. A node with no records is an empty
+// non-terminal; one with neither records nor children is pruned, except
+// the origin, so a name exists in the zone exactly when it is an owner.
+type owner struct {
+	rrs  []dnsmsg.RR
+	kids int // owners one label below this one
+}
+
+// typeSpan returns the bounds [i, j) of the records of type t in rrs; i == j
+// when there are none.
+func typeSpan(rrs []dnsmsg.RR, t dnsmsg.Type) (i, j int) {
+	for i < len(rrs) && rrs[i].Type() != t {
+		i++
+	}
+	for j = i; j < len(rrs) && rrs[j].Type() == t; j++ {
+	}
+	return i, j
+}
+
+// rrset returns the records of type t in rrs, aliasing rrs.
+func rrset(rrs []dnsmsg.RR, t dnsmsg.Type) []dnsmsg.RR {
+	i, j := typeSpan(rrs, t)
+	return rrs[i:j]
 }
 
 // New creates a zone rooted at origin with the given SOA parameters.
 func New(origin dnsmsg.Name, soa dnsmsg.SOAData) *Zone {
-	z := &Zone{
-		origin:  origin,
-		rrsets:  make(map[dnsmsg.Name]map[dnsmsg.Type][]dnsmsg.RR),
-		hasNode: make(map[dnsmsg.Name]bool),
-		serial:  soa.Serial,
+	return &Zone{
+		origin: origin,
+		owners: map[dnsmsg.Name]owner{origin: {}},
+		soa:    soa,
+		serial: soa.Serial,
 	}
-	z.soa = dnsmsg.RR{Name: origin, Class: dnsmsg.ClassIN, TTL: soaTTL, Data: soa}
-	z.markNodesLocked(origin)
-	return z
 }
 
 // Origin returns the zone's apex name.
@@ -111,11 +136,9 @@ func (z *Zone) SOA() dnsmsg.RR {
 }
 
 func (z *Zone) soaLocked() dnsmsg.RR {
-	soa := z.soa
-	data := soa.Data.(dnsmsg.SOAData)
+	data := z.soa
 	data.Serial = z.serial
-	soa.Data = data
-	return soa
+	return dnsmsg.RR{Name: z.origin, Class: dnsmsg.ClassIN, TTL: soaTTL, Data: data}
 }
 
 // contains reports whether name belongs to this zone's namespace.
@@ -131,13 +154,10 @@ func (z *Zone) Add(rr dnsmsg.RR) error {
 	}
 	z.mu.Lock()
 	defer z.mu.Unlock()
-	sets, ok := z.rrsets[rr.Name]
-	if !ok {
-		sets = make(map[dnsmsg.Type][]dnsmsg.RR)
-		z.rrsets[rr.Name] = sets
-	}
-	sets[rr.Type()] = append(sets[rr.Type()], rr)
-	z.markNodesLocked(rr.Name)
+	o := z.ownerLocked(rr.Name)
+	_, j := typeSpan(o.rrs, rr.Type())
+	o.rrs = slices.Insert(o.rrs, j, rr)
+	z.owners[rr.Name] = o
 	z.serial++
 	return nil
 }
@@ -165,13 +185,10 @@ func (z *Zone) Set(name dnsmsg.Name, t dnsmsg.Type, rrs ...dnsmsg.RR) error {
 	if len(rrs) == 0 {
 		z.removeLocked(name, t)
 	} else {
-		sets, ok := z.rrsets[name]
-		if !ok {
-			sets = make(map[dnsmsg.Type][]dnsmsg.RR)
-			z.rrsets[name] = sets
-		}
-		sets[t] = append([]dnsmsg.RR(nil), rrs...)
-		z.markNodesLocked(name)
+		o := z.ownerLocked(name)
+		i, j := typeSpan(o.rrs, t)
+		o.rrs = slices.Replace(o.rrs, i, j, rrs...)
+		z.owners[name] = o
 	}
 	z.serial++
 	return nil
@@ -189,41 +206,64 @@ func (z *Zone) Remove(name dnsmsg.Name, t dnsmsg.Type) {
 func (z *Zone) RemoveName(name dnsmsg.Name) {
 	z.mu.Lock()
 	defer z.mu.Unlock()
-	delete(z.rrsets, name)
-	z.rebuildNodesLocked()
+	if o, ok := z.owners[name]; ok && len(o.rrs) > 0 {
+		o.rrs = nil
+		z.owners[name] = o
+		z.pruneLocked(name)
+	}
 	z.serial++
 }
 
 func (z *Zone) removeLocked(name dnsmsg.Name, t dnsmsg.Type) {
-	sets, ok := z.rrsets[name]
+	o, ok := z.owners[name]
 	if !ok {
 		return
 	}
-	delete(sets, t)
-	if len(sets) == 0 {
-		delete(z.rrsets, name)
+	i, j := typeSpan(o.rrs, t)
+	if i == j {
+		return
 	}
-	z.rebuildNodesLocked()
+	if o.rrs = slices.Delete(o.rrs, i, j); len(o.rrs) == 0 {
+		o.rrs = nil
+	}
+	z.owners[name] = o
+	z.pruneLocked(name)
 }
 
-// markNodesLocked records name and every ancestor up to the origin as
-// existing nodes (empty non-terminals), so NXDOMAIN vs NODATA is decided
+// ownerLocked returns name's node, creating it and any missing ancestors
+// (empty non-terminals) first, so NXDOMAIN vs NODATA is decided
 // correctly.
-func (z *Zone) markNodesLocked(name dnsmsg.Name) {
-	for {
-		z.hasNode[name] = true
-		if name == z.origin || name.IsRoot() {
+func (z *Zone) ownerLocked(name dnsmsg.Name) owner {
+	o, ok := z.owners[name]
+	if ok {
+		return o
+	}
+	z.owners[name] = o
+	for n := name; n != z.origin; {
+		n = n.Parent()
+		p, ok := z.owners[n]
+		p.kids++
+		z.owners[n] = p
+		if ok {
+			break
+		}
+	}
+	return o
+}
+
+// pruneLocked deletes name if it has neither records nor children, then
+// each ancestor that deletion leaves the same way, stopping at the
+// origin.
+func (z *Zone) pruneLocked(name dnsmsg.Name) {
+	for name != z.origin {
+		if o := z.owners[name]; len(o.rrs) > 0 || o.kids > 0 {
 			return
 		}
+		delete(z.owners, name)
 		name = name.Parent()
-	}
-}
-
-func (z *Zone) rebuildNodesLocked() {
-	z.hasNode = make(map[dnsmsg.Name]bool)
-	z.markNodesLocked(z.origin)
-	for name := range z.rrsets {
-		z.markNodesLocked(name)
+		p := z.owners[name]
+		p.kids--
+		z.owners[name] = p
 	}
 }
 
@@ -231,20 +271,18 @@ func (z *Zone) rebuildNodesLocked() {
 func (z *Zone) Get(name dnsmsg.Name, t dnsmsg.Type) []dnsmsg.RR {
 	z.mu.RLock()
 	defer z.mu.RUnlock()
-	sets := z.rrsets[name]
-	if sets == nil {
-		return nil
-	}
-	return append([]dnsmsg.RR(nil), sets[t]...)
+	return append([]dnsmsg.RR(nil), rrset(z.owners[name].rrs, t)...)
 }
 
 // Names returns every owner name in the zone, sorted, for inspection.
 func (z *Zone) Names() []dnsmsg.Name {
 	z.mu.RLock()
 	defer z.mu.RUnlock()
-	out := make([]dnsmsg.Name, 0, len(z.rrsets))
-	for n := range z.rrsets {
-		out = append(out, n)
+	out := make([]dnsmsg.Name, 0, len(z.owners))
+	for n, o := range z.owners {
+		if len(o.rrs) > 0 {
+			out = append(out, n)
+		}
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
 	return out
@@ -280,25 +318,35 @@ func (z *Zone) LookupInto(qname dnsmsg.Name, qtype dnsmsg.Type, res *Result) {
 	z.mu.RLock()
 	defer z.mu.RUnlock()
 
-	// Delegation check: walk from the closest ancestor below the apex
-	// toward qname; an NS RRset not at the apex is a zone cut.
-	if cut, ok := z.findCutLocked(qname); ok {
-		ns := z.rrsets[cut][dnsmsg.TypeNS]
-		res.Kind = KindReferral
-		res.Records = append(res.Records, ns...)
-		for _, rr := range ns {
-			host := rr.Data.(dnsmsg.NSData).Host
-			if z.contains(host) {
-				res.Glue = append(res.Glue, z.rrsets[host][dnsmsg.TypeA]...)
-			}
+	// One top-down walk from the apex's child to qname, one probe per
+	// label. Every name on the way is a suffix of qname, so none is built.
+	// A missing node has nothing at or below it, and an NS RRset below
+	// the apex is a zone cut; per RFC 1034 a query exactly at the cut, for
+	// NS too, is still a referral from the parent side, which is the
+	// behaviour TLD servers want.
+	node := z.owners[z.origin]
+	below := len(qname) - len(z.origin) // qname[:below] are the labels under the apex
+	if z.origin != "" && below > 0 {
+		below-- // the dot before the apex
+	}
+	for below > 0 {
+		start := strings.LastIndexByte(string(qname[:below]), '.') + 1
+		n := qname[start:]
+		o, ok := z.owners[n]
+		if !ok {
+			res.Kind = KindNXDomain
+			res.SOA = z.soaLocked()
+			return
 		}
-		return
+		if ns := rrset(o.rrs, dnsmsg.TypeNS); len(ns) > 0 {
+			z.referralLocked(ns, res)
+			return
+		}
+		node, below = o, start-1
 	}
 
-	sets := z.rrsets[qname]
-
 	// CNAME handling: an alias answers every type except its own.
-	if cname, ok := sets[dnsmsg.TypeCNAME]; ok && qtype != dnsmsg.TypeCNAME {
+	if cname := rrset(node.rrs, dnsmsg.TypeCNAME); len(cname) > 0 && qtype != dnsmsg.TypeCNAME {
 		res.Kind = KindCNAME
 		res.Records = append(res.Records, cname...)
 		// Chase the chain while targets stay inside this zone. The seen
@@ -308,30 +356,38 @@ func (z *Zone) LookupInto(qname dnsmsg.Name, qtype dnsmsg.Type, res *Result) {
 		cur := cname[0].Data.(dnsmsg.CNAMEData).Target
 		for z.contains(cur) && !nameIn(seen, cur) && len(seen) < maxCNAMEChase {
 			seen = append(seen, cur)
-			curSets := z.rrsets[cur]
-			if next, ok := curSets[dnsmsg.TypeCNAME]; ok {
+			curRRs := z.owners[cur].rrs
+			if next := rrset(curRRs, dnsmsg.TypeCNAME); len(next) > 0 {
 				res.Records = append(res.Records, next...)
 				cur = next[0].Data.(dnsmsg.CNAMEData).Target
 				continue
 			}
-			res.Records = append(res.Records, curSets[qtype]...)
+			res.Records = append(res.Records, rrset(curRRs, qtype)...)
 			break
 		}
 		return
 	}
 
-	if rrs, ok := sets[qtype]; ok && len(rrs) > 0 {
+	if rrs := rrset(node.rrs, qtype); len(rrs) > 0 {
 		res.Kind = KindAnswer
 		res.Records = append(res.Records, rrs...)
 		return
 	}
-	if z.hasNode[qname] {
-		res.Kind = KindNoData
-		res.SOA = z.soaLocked()
-		return
-	}
-	res.Kind = KindNXDomain
+	res.Kind = KindNoData
 	res.SOA = z.soaLocked()
+}
+
+// referralLocked fills res with a referral to the cut whose NS RRset is
+// ns, adding the in-zone A records of its nameservers as glue.
+func (z *Zone) referralLocked(ns []dnsmsg.RR, res *Result) {
+	res.Kind = KindReferral
+	res.Records = append(res.Records, ns...)
+	for _, rr := range ns {
+		host := rr.Data.(dnsmsg.NSData).Host
+		if z.contains(host) {
+			res.Glue = append(res.Glue, rrset(z.owners[host].rrs, dnsmsg.TypeA)...)
+		}
+	}
 }
 
 // nameIn reports whether n is in names (linear scan over a short stack
@@ -343,28 +399,4 @@ func nameIn(names []dnsmsg.Name, n dnsmsg.Name) bool {
 		}
 	}
 	return false
-}
-
-// findCutLocked looks for a delegation NS RRset strictly between the apex
-// (exclusive) and qname (inclusive only when qtype would be below it; per
-// RFC 1034 a query exactly at the cut for NS is still a referral from the
-// parent side, which is the behaviour we want for TLD servers).
-func (z *Zone) findCutLocked(qname dnsmsg.Name) (dnsmsg.Name, bool) {
-	// Chain of names from apex child down to qname; the array backs a
-	// stack-allocated slice for any realistic label depth.
-	var chainArr [24]dnsmsg.Name
-	chain := chainArr[:0]
-	for n := qname; n != z.origin && !n.IsRoot(); n = n.Parent() {
-		chain = append(chain, n)
-	}
-	// Walk top-down (apex child first).
-	for i := len(chain) - 1; i >= 0; i-- {
-		n := chain[i]
-		if sets, ok := z.rrsets[n]; ok {
-			if _, hasNS := sets[dnsmsg.TypeNS]; hasNS {
-				return n, true
-			}
-		}
-	}
-	return "", false
 }

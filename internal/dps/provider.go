@@ -198,6 +198,7 @@ type Provider struct {
 	custServer *dnsserver.Server
 	nsPool     []dnsmsg.Name
 	nsAddr     map[dnsmsg.Name]netip.Addr
+	nsPayloads dnsmsg.NSPayloads // the pool's NS payloads, shared by customer zones
 
 	edges []*edge.Edge
 
@@ -225,6 +226,7 @@ func New(cfg Config) *Provider {
 		rng:         cfg.Rand,
 		infraNSAddr: make(map[dnsmsg.Name]netip.Addr),
 		nsAddr:      make(map[dnsmsg.Name]netip.Addr),
+		nsPayloads:  make(dnsmsg.NSPayloads),
 		customers:   make(map[dnsmsg.Name]*Customer),
 	}
 
@@ -306,6 +308,7 @@ func New(cfg Config) *Provider {
 			addr := takeAddr()
 			p.nsPool = append(p.nsPool, host)
 			p.nsAddr[host] = addr
+			p.nsPayloads.Add(host)
 			p.infraZone.MustAdd(dnsmsg.NewA(host, cfg.NSRecordTTL, addr))
 			ep := netsim.Endpoint{Addr: addr, Port: netsim.PortDNS}
 			for _, region := range cfg.PoPRegions {
@@ -453,7 +456,7 @@ func (p *Provider) Enroll(apex dnsmsg.Name, origin netip.Addr, method Rerouting,
 			Serial: 1, Minimum: 300,
 		})
 		for _, h := range c.NSHosts {
-			zone.MustAdd(dnsmsg.NewNS(apex, p.cfg.NSRecordTTL, h))
+			zone.MustAdd(p.nsPayloads.NS(apex, p.cfg.NSRecordTTL, h))
 		}
 		zone.MustAdd(dnsmsg.NewA(apex.Child("www"), p.cfg.RecordTTL, c.EdgeAddr))
 		zone.MustAdd(dnsmsg.NewA(apex, p.cfg.RecordTTL, c.EdgeAddr))

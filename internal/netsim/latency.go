@@ -117,7 +117,7 @@ func (n *Network) Exchange(from netip.Addr, fromRegion Region, to Endpoint, payl
 			}
 		}
 	}
-	st.queries[inst.region]++
+	st.count(inst.region)
 	now := n.clock.Now()
 	n.mu.Unlock()
 

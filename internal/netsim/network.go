@@ -98,8 +98,19 @@ type popInstance struct {
 type endpointState struct {
 	instances  []popInstance
 	blackholed bool
-	limit      *limitState       // response rate limiter, nil when none
-	queries    map[Region]uint64 // per-PoP delivered query counts
+	limit      *limitState // response rate limiter, nil when none
+	// queries holds the per-PoP delivered query counts, indexed by
+	// Region. It stays nil until the first delivery: most endpoints are
+	// site origins, which few requests ever reach.
+	queries *[numRegions]uint64
+}
+
+// count records one query delivered to the endpoint's PoP in region.
+func (st *endpointState) count(region Region) {
+	if st.queries == nil {
+		st.queries = new([numRegions]uint64)
+	}
+	st.queries[region]++
 }
 
 // Config parametrizes a Network.
@@ -158,6 +169,9 @@ func (n *Network) Register(ep Endpoint, region Region, h Handler) {
 	if h == nil {
 		panic("netsim: Register with nil handler")
 	}
+	if !region.valid() {
+		panic(fmt.Sprintf("netsim: Register in unknown region %d", int(region)))
+	}
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	st := n.ensureEndpointLocked(ep)
@@ -170,6 +184,9 @@ func (n *Network) Register(ep Endpoint, region Region, h Handler) {
 func (n *Network) RegisterAnycast(ep Endpoint, region Region, h Handler) {
 	if h == nil {
 		panic("netsim: RegisterAnycast with nil handler")
+	}
+	if !region.valid() {
+		panic(fmt.Sprintf("netsim: RegisterAnycast in unknown region %d", int(region)))
 	}
 	n.mu.Lock()
 	defer n.mu.Unlock()
@@ -205,7 +222,7 @@ func (n *Network) SetBlackholed(ep Endpoint, blackholed bool) {
 func (n *Network) ensureEndpointLocked(ep Endpoint) *endpointState {
 	st, ok := n.endpoints[ep]
 	if !ok {
-		st = &endpointState{queries: make(map[Region]uint64)}
+		st = &endpointState{}
 		n.endpoints[ep] = st
 	}
 	return st
@@ -233,13 +250,14 @@ func (n *Network) QueryCount(ep Endpoint, region Region) uint64 {
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	st, ok := n.endpoints[ep]
-	if !ok {
+	if !ok || st.queries == nil || !region.valid() {
 		return 0
 	}
 	return st.queries[region]
 }
 
-// QueryCounts returns a copy of the per-PoP query counters for ep.
+// QueryCounts returns a copy of the per-PoP query counters for ep,
+// omitting regions whose PoP has served none.
 func (n *Network) QueryCounts(ep Endpoint) map[Region]uint64 {
 	n.mu.Lock()
 	defer n.mu.Unlock()
@@ -247,9 +265,25 @@ func (n *Network) QueryCounts(ep Endpoint) map[Region]uint64 {
 	if !ok {
 		return nil
 	}
-	out := make(map[Region]uint64, len(st.queries))
+	return st.nonzeroQueries()
+}
+
+// served reports whether any query has been delivered to the endpoint.
+func (st *endpointState) served() bool {
+	return st.queries != nil && *st.queries != [numRegions]uint64{}
+}
+
+// nonzeroQueries returns the per-PoP counters as a map holding only the
+// regions that served queries.
+func (st *endpointState) nonzeroQueries() map[Region]uint64 {
+	out := make(map[Region]uint64)
+	if st.queries == nil {
+		return out
+	}
 	for r, c := range st.queries {
-		out[r] = c
+		if c != 0 {
+			out[Region(r)] = c
+		}
 	}
 	return out
 }

@@ -38,14 +38,10 @@ func (n *Network) ExportCounters() CountersState {
 	defer n.mu.Unlock()
 	st := CountersState{Sends: n.sends, Drops: n.drops, LimitDrops: n.limitDrops}
 	for ep, es := range n.endpoints {
-		if len(es.queries) == 0 {
+		if !es.served() {
 			continue
 		}
-		q := make(map[Region]uint64, len(es.queries))
-		for r, c := range es.queries {
-			q[r] = c
-		}
-		st.Endpoints = append(st.Endpoints, EndpointCounts{Addr: ep.Addr, Port: ep.Port, Queries: q})
+		st.Endpoints = append(st.Endpoints, EndpointCounts{Addr: ep.Addr, Port: ep.Port, Queries: es.nonzeroQueries()})
 	}
 	sort.Slice(st.Endpoints, func(i, j int) bool {
 		a, b := st.Endpoints[i], st.Endpoints[j]
@@ -69,16 +65,22 @@ func (n *Network) RestoreCounters(st CountersState) error {
 		if _, ok := n.endpoints[Endpoint{Addr: ec.Addr, Port: ec.Port}]; !ok {
 			return fmt.Errorf("netsim: restore counters: no handler registered at %s:%d", ec.Addr, ec.Port)
 		}
+		for r := range ec.Queries {
+			if !r.valid() {
+				return fmt.Errorf("netsim: restore counters: unknown region %d at %s:%d", int(r), ec.Addr, ec.Port)
+			}
+		}
 	}
 	n.sends, n.drops, n.limitDrops = st.Sends, st.Drops, st.LimitDrops
 	for _, es := range n.endpoints {
-		for r := range es.queries {
-			delete(es.queries, r)
-		}
+		es.queries = nil
 	}
 	for _, ec := range st.Endpoints {
 		es := n.endpoints[Endpoint{Addr: ec.Addr, Port: ec.Port}]
 		for r, c := range ec.Queries {
+			if es.queries == nil {
+				es.queries = new([numRegions]uint64)
+			}
 			es.queries[r] = c
 		}
 	}

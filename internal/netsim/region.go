@@ -21,7 +21,14 @@ const (
 	RegionSaoPaulo
 	RegionMumbai
 	RegionJohannesburg
+
+	// numRegions bounds the Region values the fabric accepts, so
+	// per-region counters fit in an array indexed by Region.
+	numRegions = int(RegionJohannesburg) + 1
 )
+
+// valid reports whether r is RegionUnknown or a concrete region.
+func (r Region) valid() bool { return r >= 0 && int(r) < numRegions }
 
 // AllRegions lists every concrete region (excluding RegionUnknown).
 func AllRegions() []Region {

@@ -55,6 +55,9 @@ type Infra struct {
 	Hosting *dnsserver.Server
 	// HostingNS are the hosting service's nameserver hostnames.
 	HostingNS []dnsmsg.Name
+	// NSPayloads, optional, holds boxed NS payloads that site zones share
+	// for the hosts it covers.
+	NSPayloads dnsmsg.NSPayloads
 	// Providers maps keys to running DPS providers.
 	Providers map[dps.ProviderKey]*dps.Provider
 	// NewOriginAddr allocates a fresh origin address inside an ISP's
@@ -133,7 +136,7 @@ func NewExposed(infra *Infra, domain alexa.Domain, region netsim.Region, page ht
 		Serial: 1, Minimum: 300,
 	})
 	for _, h := range infra.HostingNS {
-		s.zone.MustAdd(dnsmsg.NewNS(domain.Apex, DefaultNSTTL, h))
+		s.zone.MustAdd(infra.NSPayloads.NS(domain.Apex, DefaultNSTTL, h))
 	}
 	s.pointOwnRecordsAtLocked(s.originAddr)
 	s.zone.MustAdd(dnsmsg.NewMX(domain.Apex, DefaultATTL, 10, domain.Apex.Child("mail")))

@@ -38,10 +38,16 @@ type World struct {
 
 	hostingServer *dnsserver.Server
 	hostingNS     []dnsmsg.Name
+	// nsPayloads boxes the hosting and DPS pool nameservers' NS payloads
+	// once for every site zone and TLD delegation naming them.
+	nsPayloads dnsmsg.NSPayloads
 
 	providers map[dps.ProviderKey]*dps.Provider
-	cedexis   *multicdn.Manager
-	multiCDN  map[dnsmsg.Name]bool
+	// providerKeys is dps.AllKeys, fetched once: every call builds the
+	// whole profile table afresh.
+	providerKeys []dps.ProviderKey
+	cedexis      *multicdn.Manager
+	multiCDN     map[dnsmsg.Name]bool
 
 	sites      []*website.Site
 	siteByApex map[dnsmsg.Name]*website.Site
@@ -74,7 +80,7 @@ func (r registrar) SetDelegation(apex dnsmsg.Name, hosts []dnsmsg.Name) error {
 	}
 	rrs := make([]dnsmsg.RR, len(hosts))
 	for i, h := range hosts {
-		rrs[i] = dnsmsg.NewNS(apex, website.DefaultNSTTL, h)
+		rrs[i] = r.w.nsPayloads.NS(apex, website.DefaultNSTTL, h)
 	}
 	return zone.Set(apex, dnsmsg.TypeNS, rrs...)
 }
@@ -83,15 +89,17 @@ func (r registrar) SetDelegation(apex dnsmsg.Name, hosts []dnsmsg.Name) error {
 func New(cfg Config) *World {
 	cfg.validate()
 	w := &World{
-		cfg:         cfg,
-		Clock:       simtime.NewSimulated(),
-		Registry:    ipspace.NewRegistry(),
-		Alloc:       ipspace.NewAllocator(netip.MustParseAddr("20.0.0.0")),
-		tldZones:    make(map[string]*dnszone.Zone),
-		providers:   make(map[dps.ProviderKey]*dps.Provider),
-		siteByApex:  make(map[dnsmsg.Name]*website.Site),
-		pausedUntil: make(map[dnsmsg.Name]int),
-		rng:         rand.New(rand.NewSource(cfg.Seed)),
+		cfg:          cfg,
+		Clock:        simtime.NewSimulated(),
+		Registry:     ipspace.NewRegistry(),
+		Alloc:        ipspace.NewAllocator(netip.MustParseAddr("20.0.0.0")),
+		tldZones:     make(map[string]*dnszone.Zone),
+		nsPayloads:   make(dnsmsg.NSPayloads),
+		providers:    make(map[dps.ProviderKey]*dps.Provider),
+		providerKeys: dps.AllKeys(),
+		siteByApex:   make(map[dnsmsg.Name]*website.Site),
+		pausedUntil:  make(map[dnsmsg.Name]int),
+		rng:          rand.New(rand.NewSource(cfg.Seed)),
 	}
 	netCfg := netsim.Config{Clock: w.Clock}
 	if cfg.PacketLossRate > 0 {
@@ -251,6 +259,7 @@ func (w *World) buildProviders() {
 		w.providers[profile.Key] = p
 		w.delegateInfra(p.InfraApex(), p.InfraNS())
 		w.installNSRateLimit(p)
+		w.nsPayloads.Add(p.NSPool()...)
 	}
 }
 
@@ -296,6 +305,7 @@ func (w *World) buildHosting() {
 	}
 	w.hostingServer.AddZone(zone)
 	w.delegateInfra(apex, ns)
+	w.nsPayloads.Add(w.hostingNS...)
 }
 
 // buildSites generates the ranked population, applies initial adoption, and
@@ -332,6 +342,7 @@ func (w *World) buildSites() {
 		Registrar:     registrar{w},
 		Hosting:       w.hostingServer,
 		HostingNS:     w.hostingNS,
+		NSPayloads:    w.nsPayloads,
 		Providers:     w.providers,
 		NewOriginAddr: newOriginAddr,
 	}
@@ -448,7 +459,7 @@ func (w *World) pickProvider() dps.ProviderKey {
 		total += share
 	}
 	v := w.rng.Float64() * total
-	for _, key := range dps.AllKeys() {
+	for _, key := range w.providerKeys {
 		share, ok := w.cfg.ProviderShares[key]
 		if !ok {
 			continue
@@ -464,7 +475,6 @@ func (w *World) pickProvider() dps.ProviderKey {
 // pickMethod selects a rerouting method consistent with the provider's
 // offerings and the paper's observed mix.
 func (w *World) pickMethod(key dps.ProviderKey) dps.Rerouting {
-	profile, _ := dps.ProfileFor(key)
 	switch key {
 	case dps.Cloudflare:
 		if w.rng.Float64() < w.cfg.CloudflareNSShare {
@@ -477,7 +487,7 @@ func (w *World) pickMethod(key dps.ProviderKey) dps.Rerouting {
 		}
 		return dps.ReroutingCNAME
 	default:
-		return profile.Methods[0]
+		return w.providers[key].Profile().Methods[0]
 	}
 }
 
