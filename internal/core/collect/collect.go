@@ -150,7 +150,9 @@ func (p pass) collect(i int) { p.records[i] = p.c.collectOne(p.c.domains[i]) }
 func (c *Collector) collectOne(d alexa.Domain) Record {
 	rec := Record{Domain: d}
 
-	aRes, err := c.resolver.Resolve(d.WWW(), dnsmsg.TypeA)
+	// d.WWW() would build the same string again every day; the codec's
+	// table already holds it.
+	aRes, err := c.resolver.Resolve(d.Apex.InternedChild("www"), dnsmsg.TypeA)
 	switch {
 	case err == nil:
 		rec.ResolveOK = true

@@ -355,7 +355,7 @@ func (d *Decoder) question() (Question, error) {
 }
 
 func (d *Decoder) rr() (RR, error) {
-	name, err := d.name()
+	name, owner, err := d.nameEntry()
 	if err != nil {
 		return RR{}, err
 	}
@@ -413,7 +413,7 @@ func (d *Decoder) rr() (RR, error) {
 				return RR{}, err
 			}
 		}
-		data = soa
+		data = d.entryFor(name, owner).soa(soa)
 	case TypeMX:
 		pref, err := d.u16()
 		if err != nil {

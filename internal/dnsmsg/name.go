@@ -87,14 +87,20 @@ func (n Name) Parent() Name {
 // Child returns label.n. It panics on an invalid label; children are built
 // from validated configuration, not wire input.
 func (n Name) Child(label string) Name {
-	label = strings.ToLower(label)
-	if label == "" || len(label) > 63 || strings.Contains(label, ".") {
-		panic(fmt.Sprintf("dnsmsg: invalid label %q", label))
-	}
+	label = childLabel(label)
 	if n == "" {
 		return Name(label)
 	}
 	return Name(label) + "." + n
+}
+
+// childLabel lowercases and checks a label for Child.
+func childLabel(label string) string {
+	label = strings.ToLower(label)
+	if label == "" || len(label) > 63 || strings.Contains(label, ".") {
+		panic(fmt.Sprintf("dnsmsg: invalid label %q", label))
+	}
+	return label
 }
 
 // IsSubdomainOf reports whether n equals zone or falls under it. Every name

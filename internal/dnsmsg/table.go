@@ -31,12 +31,14 @@ const (
 // never occurs.
 const addrKeyTag = 0xFF
 
-// Payload slots of an entry: a name key boxes NSData and CNAMEData, an
-// address key its one AData or AAAAData.
+// Payload slots of an entry: a name key boxes NSData and CNAMEData, and
+// the last SOAData decoded at that owner; an address key its one AData or
+// AAAAData.
 const (
 	boxNS    = 0
 	boxAddr  = 0
 	boxCNAME = 1
+	boxSOA   = 2
 )
 
 // sharedNames is the one name table of the process. Every Decoder interns
@@ -68,7 +70,7 @@ type tableShard struct {
 type entry struct {
 	key  string
 	hash uint64
-	box  [2]atomic.Pointer[RData]
+	box  [3]atomic.Pointer[RData]
 }
 
 // get returns the entry for key, inserting a copy of key on first sight.
@@ -146,6 +148,22 @@ func (sh *tableShard) reset() {
 	sh.count, sh.bytes = 0, 0
 }
 
+// InternedChild is Child, returning the shared table's copy of the name.
+// The name is assembled in a stack buffer, so once the codec has decoded
+// it, building it again allocates nothing.
+func (n Name) InternedChild(label string) Name {
+	label = childLabel(label)
+	var buf [253]byte
+	if len(label)+1+len(n) > len(buf) || label[0] >= 0x80 {
+		return n.Child(label) // not a key the decoder would intern
+	}
+	b := append(buf[:0], label...)
+	if n != "" {
+		b = append(append(b, '.'), n...)
+	}
+	return Name(sharedNames.get(b).key)
+}
+
 // rdata returns e's payload in slot, boxing build(e.key) on first use.
 func (e *entry) rdata(slot int, build func(key string) RData) RData {
 	if p := e.box[slot].Load(); p != nil {
@@ -156,6 +174,19 @@ func (e *entry) rdata(slot int, build func(key string) RData) RData {
 	if !e.box[slot].CompareAndSwap(nil, p) {
 		p = e.box[slot].Load()
 	}
+	return *p
+}
+
+// soa returns soa boxed, reusing e's SOA box when it holds equal
+// contents. A zone's SOA changes only with its serial, so the box is
+// replaced, not kept per version.
+func (e *entry) soa(soa SOAData) RData {
+	if p := e.box[boxSOA].Load(); p != nil && (*p).(SOAData) == soa {
+		return *p
+	}
+	p := new(RData)
+	*p = soa
+	e.box[boxSOA].Store(p)
 	return *p
 }
 

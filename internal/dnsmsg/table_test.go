@@ -8,6 +8,7 @@ import (
 	"sync"
 	"testing"
 	"time"
+	"unsafe"
 )
 
 // TestDecodeStaysAllocFreePastManyNames: a decoder that has seen more than
@@ -195,5 +196,64 @@ func BenchmarkDecodeWorkingSet(b *testing.B) {
 		if err := d.DecodeInto(wires[i%responses], &m); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// TestDecodeReusesSOABox: a negative answer's SOA is boxed once per
+// distinct content at its owner, so decoding it again allocates nothing,
+// while a changed serial decodes to the new contents.
+func TestDecodeReusesSOABox(t *testing.T) {
+	negative := func(serial uint32) []byte {
+		resp := NewResponse(NewQuery(4, "www.soabox.example", TypeNS), RCodeNoError)
+		resp.Authority = []RR{NewSOA("soabox.example", 15*time.Minute, "ns1.soabox.example", "hostmaster.soabox.example", serial)}
+		return MustEncode(resp)
+	}
+	var d Decoder
+	var m Message
+	for _, serial := range []uint32{7, 8, 7} {
+		wire := negative(serial)
+		if err := d.DecodeInto(wire, &m); err != nil {
+			t.Fatal(err)
+		}
+		if got := m.Authority[0].Data.(SOAData).Serial; got != serial {
+			t.Fatalf("decoded serial %d, want %d", got, serial)
+		}
+		allocs := testing.AllocsPerRun(50, func() {
+			if err := d.DecodeInto(wire, &m); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs != 0 {
+			t.Errorf("serial %d: %.2f allocs/op decoding a repeated SOA, want 0", serial, allocs)
+		}
+		if want := negative(serial); string(MustEncode(&m)) != string(want) {
+			t.Errorf("serial %d: re-encoded message differs", serial)
+		}
+	}
+}
+
+// TestInternedChild: InternedChild builds the same name as Child, and once
+// the table holds it, returns the table's string without allocating.
+func TestInternedChild(t *testing.T) {
+	for _, c := range []struct {
+		parent Name
+		label  string
+	}{{"interned.example", "www"}, {"interned.example", "WWW"}, {"", "tld"}} {
+		if got, want := c.parent.InternedChild(c.label), c.parent.Child(c.label); got != want {
+			t.Errorf("%q.InternedChild(%q) = %q, want %q", c.parent, c.label, got, want)
+		}
+	}
+	var d Decoder
+	var m Message
+	if err := d.DecodeInto(MustEncode(NewQuery(5, "www.interned.example", TypeA)), &m); err != nil {
+		t.Fatal(err)
+	}
+	var got Name
+	allocs := testing.AllocsPerRun(50, func() { got = Name("interned.example").InternedChild("www") })
+	if allocs != 0 {
+		t.Errorf("InternedChild: %.2f allocs/op on a held name, want 0", allocs)
+	}
+	if unsafe.StringData(string(got)) != unsafe.StringData(string(m.Question().Name)) {
+		t.Error("InternedChild returned a copy, not the decoder's interned string")
 	}
 }

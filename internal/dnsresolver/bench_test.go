@@ -2,6 +2,7 @@ package dnsresolver
 
 import (
 	"testing"
+	"time"
 
 	"rrdps/internal/dnsmsg"
 )
@@ -56,16 +57,13 @@ func BenchmarkResolveCrossZoneCNAME(b *testing.B) {
 	}
 }
 
-// dropAnswer evicts just (name, qtype)'s answer entry, leaving delegation
-// and host-address entries warm — the steady-state miss a capped cache
-// produces mid-campaign.
+// dropAnswer deletes just (name, qtype)'s answer entry, leaving delegation
+// and host-address entries warm — the miss of an answer whose TTL ran out
+// before its zone's delegation did.
 func dropAnswer(r *Resolver, name dnsmsg.Name, qtype dnsmsg.Type) {
-	key := cacheKey{name: name, qtype: qtype}
 	s := &r.cache.shards[shardIndex(name)]
 	s.mu.Lock()
-	if slot, ok := s.answers[key]; ok {
-		s.deleteEntry(slot.node)
-	}
+	delete(s.answers, cacheKey{name: name, qtype: qtype})
 	s.mu.Unlock()
 }
 
@@ -87,7 +85,7 @@ func BenchmarkResolveCached(b *testing.B) {
 
 // BenchmarkResolveUncached is the answer-cache-miss path with warm
 // delegations: one authoritative exchange plus the re-cache of its
-// answer, the steady-state cost after a capped cache evicts an entry.
+// answer, the steady-state cost once an answer's TTL runs out.
 func BenchmarkResolveUncached(b *testing.B) {
 	f := newFixture(b)
 	if _, err := f.resolver.Resolve("www.example.com", dnsmsg.TypeA); err != nil {
@@ -131,5 +129,41 @@ func TestResolveAllocBudget(t *testing.T) {
 	})
 	if uncached > 4 {
 		t.Errorf("uncached resolve: %.1f allocs/op, want <= 4", uncached)
+	}
+}
+
+// TestPurgedDomainDayAllocBudget pins what one site costs a collector
+// that purges its cache every day: a cold www A resolve and the apex NS
+// resolve, with the addresses and hosts extracted as the collector does.
+// The fixture's apex has two nameservers, like most measured sites. Only
+// what outlives the walk may allocate: the two kept answer sets, the
+// delegations of com and example.com (a campaign shares com's across all
+// its sites), and the extracted addresses and hosts. Decoding and serving
+// the www NODATA answer's SOA must not.
+func TestPurgedDomainDayAllocBudget(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race-detector instrumentation allocates; the budget is enforced by the non-race run")
+	}
+	f := newFixture(t)
+	f.authZone.MustAdd(dnsmsg.NewNS("example.com", 24*time.Hour, "ns2.example.com"))
+	f.authZone.MustAdd(dnsmsg.NewA("ns2.example.com", 24*time.Hour, f.authAddr))
+	day := func() {
+		f.resolver.PurgeCache()
+		a, err := f.resolver.Resolve("www.example.com", dnsmsg.TypeA)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ns, err := f.resolver.Resolve("example.com", dnsmsg.TypeNS)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(a.Addrs()) != 1 || len(ns.NSHosts()) != 2 {
+			t.Fatalf("addrs %v, NS hosts %v", a.Addrs(), ns.NSHosts())
+		}
+	}
+	day() // warm the name table, the scratch pools and the cache's maps
+	const budget = 6
+	if got := testing.AllocsPerRun(100, day); got > budget {
+		t.Errorf("purged-cache domain-day: %.1f allocs, want <= %d", got, budget)
 	}
 }

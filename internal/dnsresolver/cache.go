@@ -10,211 +10,55 @@ import (
 	"rrdps/internal/obs"
 )
 
-// cacheKey identifies a cached answer RRset. Delegation and host-address
-// entries reuse it with a zero qtype (the kind byte on the LRU node keeps
-// the namespaces apart).
+// cacheKey identifies a cached answer RRset.
 type cacheKey struct {
 	name  dnsmsg.Name
 	qtype dnsmsg.Type
 }
 
-// answerEntry is a cached positive or negative answer.
-type answerEntry struct {
-	// chain is the CNAME chain (possibly empty) leading to the answer.
-	chain []dnsmsg.RR
-	// answers are the records of the requested type at the chain's end.
-	answers []dnsmsg.RR
-	// rcode distinguishes NXDOMAIN negative entries.
+// answerSlot is a cached positive or negative answer: the CNAME chain
+// (possibly empty) leading to the answer, then the records of the
+// requested type at the chain's end, in one backing array. rcode
+// distinguishes NXDOMAIN negative entries.
+type answerSlot struct {
+	rrs     []dnsmsg.RR
+	nchain  int32
 	rcode   dnsmsg.RCode
-	expires time.Time
+	expires int64 // UnixNano
 }
 
-// delegationEntry caches a zone cut: the nameserver names for a zone.
-type delegationEntry struct {
+// delegationSlot caches a zone cut: the nameserver names for a zone.
+type delegationSlot struct {
 	hosts   []dnsmsg.Name
-	expires time.Time
+	expires int64
 }
 
-// hostAddrEntry caches one nameserver host's address.
-type hostAddrEntry struct {
+// hostAddrSlot caches one nameserver host's address.
+type hostAddrSlot struct {
 	addr    netip.Addr
-	expires time.Time
+	expires int64
 }
-
-// Entry kinds, stored on LRU nodes so eviction knows which table to
-// delete from.
-const (
-	kindAnswer = iota
-	kindDelegation
-	kindHostAddr
-)
 
 // cacheShards is the lock-striping factor. Scan campaigns run dozens of
 // workers against one resolver; 32 stripes keeps the probability of two
 // workers colliding on one mutex low without bloating the struct.
 const cacheShards = 32
 
-// noNode marks an absent LRU link.
-const noNode = int32(-1)
-
-// lruNode is one entry's position in a shard's recency list. Nodes live
-// in a flat slice and link by index; freed nodes go on a freelist and are
-// reused, so steady-state churn allocates nothing.
-type lruNode struct {
-	key  cacheKey
-	kind uint8
-	prev int32
-	next int32
-}
-
-// answerSlot et al. pair an entry with its generation stamp and LRU node.
-type answerSlot struct {
-	entry answerEntry
-	gen   uint64
-	node  int32
-}
-
-type delegationSlot struct {
-	entry delegationEntry
-	gen   uint64
-	node  int32
-}
-
-type hostAddrSlot struct {
-	entry hostAddrEntry
-	gen   uint64
-	node  int32
-}
-
-// cacheShard is one stripe: a mutex, its slice of each table, the shared
-// recency list, and the current generation.
+// cacheShard is one stripe: a lock and its slice of each table. Lookups
+// only read, so they share the lock.
 type cacheShard struct {
-	mu          sync.Mutex
-	gen         uint64
+	mu          sync.RWMutex
 	answers     map[cacheKey]answerSlot
 	delegations map[dnsmsg.Name]delegationSlot
 	hostAddrs   map[dnsmsg.Name]hostAddrSlot
-
-	nodes    []lruNode
-	head     int32 // most recently used
-	tail     int32 // least recently used
-	freeHead int32
-	capacity int // max entries in this shard; 0 = unbounded
-}
-
-func (s *cacheShard) init(capacity int) {
-	s.answers = make(map[cacheKey]answerSlot)
-	s.delegations = make(map[dnsmsg.Name]delegationSlot)
-	s.hostAddrs = make(map[dnsmsg.Name]hostAddrSlot)
-	s.head, s.tail, s.freeHead = noNode, noNode, noNode
-	s.capacity = capacity
-}
-
-// newNode takes a node off the freelist (or grows the arena) and links it
-// at the head of the recency list.
-func (s *cacheShard) newNode(kind uint8, key cacheKey) int32 {
-	var i int32
-	if s.freeHead != noNode {
-		i = s.freeHead
-		s.freeHead = s.nodes[i].next
-	} else {
-		s.nodes = append(s.nodes, lruNode{})
-		i = int32(len(s.nodes) - 1)
-	}
-	s.nodes[i] = lruNode{key: key, kind: kind, prev: noNode, next: s.head}
-	if s.head != noNode {
-		s.nodes[s.head].prev = i
-	}
-	s.head = i
-	if s.tail == noNode {
-		s.tail = i
-	}
-	return i
-}
-
-// unlink removes node i from the recency list (it stays allocated).
-func (s *cacheShard) unlink(i int32) {
-	n := &s.nodes[i]
-	if n.prev != noNode {
-		s.nodes[n.prev].next = n.next
-	} else {
-		s.head = n.next
-	}
-	if n.next != noNode {
-		s.nodes[n.next].prev = n.prev
-	} else {
-		s.tail = n.prev
-	}
-	n.prev, n.next = noNode, noNode
-}
-
-// free returns node i to the freelist.
-func (s *cacheShard) free(i int32) {
-	s.unlink(i)
-	s.nodes[i] = lruNode{next: s.freeHead}
-	s.freeHead = i
-}
-
-// touch moves node i to the head of the recency list.
-func (s *cacheShard) touch(i int32) {
-	if s.head == i {
-		return
-	}
-	s.unlink(i)
-	n := &s.nodes[i]
-	n.next = s.head
-	if s.head != noNode {
-		s.nodes[s.head].prev = i
-	}
-	s.head = i
-	if s.tail == noNode {
-		s.tail = i
-	}
-}
-
-// size returns the shard's total entry count (all generations).
-func (s *cacheShard) size() int {
-	return len(s.answers) + len(s.delegations) + len(s.hostAddrs)
-}
-
-// deleteEntry removes the entry behind node i from its table and frees
-// the node.
-func (s *cacheShard) deleteEntry(i int32) {
-	n := s.nodes[i]
-	switch n.kind {
-	case kindAnswer:
-		delete(s.answers, n.key)
-	case kindDelegation:
-		delete(s.delegations, n.key.name)
-	case kindHostAddr:
-		delete(s.hostAddrs, n.key.name)
-	}
-	s.free(i)
-}
-
-// evictOver trims the shard to capacity from the LRU tail. Stale
-// generations drift tailward on their own (nothing touches them), so a
-// capped cache sheds purged entries before live ones.
-func (s *cacheShard) evictOver() {
-	if s.capacity <= 0 {
-		return
-	}
-	for s.size() > s.capacity && s.tail != noNode {
-		s.deleteEntry(s.tail)
-	}
 }
 
 // cache is the resolver's TTL-aware store, sharded so concurrent scan
 // workers stop serializing on a single mutex. Entries are never served
-// past their expiry or from a previous generation; Purge bumps every
-// shard's generation in O(1) (the paper's collector purges its resolver
-// cache before every daily run so snapshots stay independent, §IV-B.1).
-//
-// Each shard keeps one recency list across its three tables. With a
-// capacity configured, inserts evict least-recently-used entries; the
-// default capacity of 0 keeps the historical grow-with-the-world
-// behaviour, which campaign determinism (query-count-bearing reports)
-// relies on.
+// past their expiry. It holds one day of a campaign: the paper's
+// collector purges its resolver cache before every daily run so
+// snapshots stay independent (§IV-B.1), and Purge empties every table in
+// place, keeping the maps' buckets for the next day's working set.
 //
 // Every entry kind (answers, delegations, host addresses) routes to a
 // shard by an FNV-1a hash of the owner name, so all records for one name
@@ -227,19 +71,13 @@ type cache struct {
 	obs atomic.Pointer[cacheObs]
 }
 
-// newCache creates a cache. capacity is the approximate total entry
-// budget, split evenly across shards; 0 means unbounded.
-func newCache(capacity int) *cache {
-	perShard := 0
-	if capacity > 0 {
-		perShard = (capacity + cacheShards - 1) / cacheShards
-		if perShard < 1 {
-			perShard = 1
-		}
-	}
+func newCache() *cache {
 	c := &cache{}
 	for i := range c.shards {
-		c.shards[i].init(perShard)
+		s := &c.shards[i]
+		s.answers = make(map[cacheKey]answerSlot)
+		s.delegations = make(map[dnsmsg.Name]delegationSlot)
+		s.hostAddrs = make(map[dnsmsg.Name]hostAddrSlot)
 	}
 	return c
 }
@@ -270,18 +108,19 @@ func (c *cache) setObserver(r *obs.Registry) {
 	c.obs.Store(newCacheObs(r))
 }
 
-// Purge makes every cached entry invisible by bumping each shard's
-// generation — O(shards), no map reallocation. Old-generation entries are
-// reclaimed lazily: on the next access to their key, or by LRU eviction
-// when a capacity is set. A put racing with Purge may land pre-bump and
-// survive in an already-bumped stripe, which is fine for the campaigns
-// (they purge between runs, while the resolver is idle) and harmless
-// otherwise (the entry is valid, just not forgotten).
+// Purge empties every table. The cached records are released; the maps
+// keep their buckets, so refilling them the next day allocates nothing.
+// A put racing with Purge may land in an already-cleared stripe and
+// survive, which is fine for the campaigns (they purge between runs,
+// while the resolver is idle) and harmless otherwise (the entry is
+// valid, just not forgotten).
 func (c *cache) Purge() {
 	for i := range c.shards {
 		s := &c.shards[i]
 		s.mu.Lock()
-		s.gen++
+		clear(s.answers)
+		clear(s.delegations)
+		clear(s.hostAddrs)
 		s.mu.Unlock()
 	}
 }
@@ -289,64 +128,60 @@ func (c *cache) Purge() {
 // Len returns the total number of live entries at now, summed across
 // shards.
 func (c *cache) Len(now time.Time) int {
+	t := now.UnixNano()
 	n := 0
 	for i := range c.shards {
 		s := &c.shards[i]
-		s.mu.Lock()
+		s.mu.RLock()
 		for _, e := range s.answers {
-			if e.gen == s.gen && e.entry.expires.After(now) {
+			if e.expires > t {
 				n++
 			}
 		}
 		for _, e := range s.delegations {
-			if e.gen == s.gen && e.entry.expires.After(now) {
+			if e.expires > t {
 				n++
 			}
 		}
 		for _, e := range s.hostAddrs {
-			if e.gen == s.gen && e.entry.expires.After(now) {
+			if e.expires > t {
 				n++
 			}
 		}
-		s.mu.Unlock()
+		s.mu.RUnlock()
 	}
 	return n
 }
 
-func (c *cache) getAnswer(now time.Time, key cacheKey) (answerEntry, bool) {
+// getAnswer returns the cached answer for key. The chain and answers are
+// shared with the cache and capacity-limited, so an append by the caller
+// copies.
+func (c *cache) getAnswer(now time.Time, key cacheKey) (chain, answers []dnsmsg.RR, rcode dnsmsg.RCode, ok bool) {
 	idx := shardIndex(key.name)
 	s := &c.shards[idx]
-	s.mu.Lock()
-	defer s.mu.Unlock()
+	s.mu.RLock()
 	slot, ok := s.answers[key]
-	if !ok || slot.gen != s.gen || !slot.entry.expires.After(now) {
-		if ok {
-			s.deleteEntry(slot.node)
-		}
+	s.mu.RUnlock()
+	if !ok || slot.expires <= now.UnixNano() {
 		c.obs.Load().observe(idx, false)
-		return answerEntry{}, false
+		return nil, nil, 0, false
 	}
-	s.touch(slot.node)
 	c.obs.Load().observe(idx, true)
-	return slot.entry, true
+	chain, answers = splitKept(slot.rrs, int(slot.nchain))
+	return chain, answers, slot.rcode, true
 }
 
-func (c *cache) putAnswer(now time.Time, key cacheKey, e answerEntry, ttl time.Duration) {
+// putAnswer caches rrs, a CNAME chain of nchain records followed by the
+// answers at its end, without copying: the caller hands rrs over.
+func (c *cache) putAnswer(now time.Time, key cacheKey, rrs []dnsmsg.RR, nchain int, rcode dnsmsg.RCode, ttl time.Duration) {
 	if ttl <= 0 {
 		return // zero-TTL answers are never cached
 	}
-	e.expires = now.Add(ttl)
+	slot := answerSlot{rrs: rrs, nchain: int32(nchain), rcode: rcode, expires: now.Add(ttl).UnixNano()}
 	s := c.shardFor(key.name)
 	s.mu.Lock()
-	defer s.mu.Unlock()
-	if slot, ok := s.answers[key]; ok {
-		s.touch(slot.node)
-		s.answers[key] = answerSlot{entry: e, gen: s.gen, node: slot.node}
-		return
-	}
-	node := s.newNode(kindAnswer, key)
-	s.answers[key] = answerSlot{entry: e, gen: s.gen, node: node}
-	s.evictOver()
+	s.answers[key] = slot
+	s.mu.Unlock()
 }
 
 // getDelegation returns the cached nameserver hosts for zone. The slice
@@ -354,40 +189,29 @@ func (c *cache) putAnswer(now time.Time, key cacheKey, e answerEntry, ttl time.D
 func (c *cache) getDelegation(now time.Time, zone dnsmsg.Name) ([]dnsmsg.Name, bool) {
 	idx := shardIndex(zone)
 	s := &c.shards[idx]
-	s.mu.Lock()
-	defer s.mu.Unlock()
+	s.mu.RLock()
 	slot, ok := s.delegations[zone]
-	if !ok || slot.gen != s.gen || !slot.entry.expires.After(now) {
-		if ok {
-			s.deleteEntry(slot.node)
-		}
+	s.mu.RUnlock()
+	if !ok || slot.expires <= now.UnixNano() {
 		c.obs.Load().observe(idx, false)
 		return nil, false
 	}
-	s.touch(slot.node)
 	c.obs.Load().observe(idx, true)
-	return slot.entry.hosts, true
+	return slot.hosts, true
 }
 
 func (c *cache) putDelegation(now time.Time, zone dnsmsg.Name, hosts []dnsmsg.Name, ttl time.Duration) {
 	if ttl <= 0 || len(hosts) == 0 {
 		return
 	}
-	e := delegationEntry{
+	slot := delegationSlot{
 		hosts:   append([]dnsmsg.Name(nil), hosts...),
-		expires: now.Add(ttl),
+		expires: now.Add(ttl).UnixNano(),
 	}
 	s := c.shardFor(zone)
 	s.mu.Lock()
-	defer s.mu.Unlock()
-	if slot, ok := s.delegations[zone]; ok {
-		s.touch(slot.node)
-		s.delegations[zone] = delegationSlot{entry: e, gen: s.gen, node: slot.node}
-		return
-	}
-	node := s.newNode(kindDelegation, cacheKey{name: zone})
-	s.delegations[zone] = delegationSlot{entry: e, gen: s.gen, node: node}
-	s.evictOver()
+	s.delegations[zone] = slot
+	s.mu.Unlock()
 }
 
 // closestDelegation returns the cached zone cut deepest along name's
@@ -395,21 +219,19 @@ func (c *cache) putDelegation(now time.Time, zone dnsmsg.Name, hosts []dnsmsg.Na
 // walk locks at most one stripe at a time. The returned hosts slice is
 // shared with the cache; callers must not mutate it.
 func (c *cache) closestDelegation(now time.Time, name dnsmsg.Name) (dnsmsg.Name, []dnsmsg.Name, bool) {
+	t := now.UnixNano()
 	for zone := name; !zone.IsRoot(); zone = zone.Parent() {
 		idx := shardIndex(zone)
 		s := &c.shards[idx]
-		s.mu.Lock()
+		s.mu.RLock()
 		slot, ok := s.delegations[zone]
-		if ok && slot.gen == s.gen && slot.entry.expires.After(now) {
-			s.touch(slot.node)
-			hosts := slot.entry.hosts
-			s.mu.Unlock()
+		s.mu.RUnlock()
+		if ok && slot.expires > t {
 			// The whole walk counts as one lookup, attributed to the
 			// stripe that satisfied it.
 			c.obs.Load().observe(idx, true)
-			return zone, hosts, true
+			return zone, slot.hosts, true
 		}
-		s.mu.Unlock()
 	}
 	c.obs.Load().observe(shardIndex(name), false)
 	return "", nil, false
@@ -418,35 +240,24 @@ func (c *cache) closestDelegation(now time.Time, name dnsmsg.Name) (dnsmsg.Name,
 func (c *cache) getHostAddr(now time.Time, host dnsmsg.Name) (netip.Addr, bool) {
 	idx := shardIndex(host)
 	s := &c.shards[idx]
-	s.mu.Lock()
-	defer s.mu.Unlock()
+	s.mu.RLock()
 	slot, ok := s.hostAddrs[host]
-	if !ok || slot.gen != s.gen || !slot.entry.expires.After(now) {
-		if ok {
-			s.deleteEntry(slot.node)
-		}
+	s.mu.RUnlock()
+	if !ok || slot.expires <= now.UnixNano() {
 		c.obs.Load().observe(idx, false)
 		return netip.Addr{}, false
 	}
-	s.touch(slot.node)
 	c.obs.Load().observe(idx, true)
-	return slot.entry.addr, true
+	return slot.addr, true
 }
 
 func (c *cache) putHostAddr(now time.Time, host dnsmsg.Name, addr netip.Addr, ttl time.Duration) {
 	if ttl <= 0 {
 		return
 	}
-	e := hostAddrEntry{addr: addr, expires: now.Add(ttl)}
+	slot := hostAddrSlot{addr: addr, expires: now.Add(ttl).UnixNano()}
 	s := c.shardFor(host)
 	s.mu.Lock()
-	defer s.mu.Unlock()
-	if slot, ok := s.hostAddrs[host]; ok {
-		s.touch(slot.node)
-		s.hostAddrs[host] = hostAddrSlot{entry: e, gen: s.gen, node: slot.node}
-		return
-	}
-	node := s.newNode(kindHostAddr, cacheKey{name: host})
-	s.hostAddrs[host] = hostAddrSlot{entry: e, gen: s.gen, node: node}
-	s.evictOver()
+	s.hostAddrs[host] = slot
+	s.mu.Unlock()
 }

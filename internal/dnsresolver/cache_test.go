@@ -17,7 +17,7 @@ func cacheTestName(i int) dnsmsg.Name {
 // TestCacheShardRouting checks that every entry kind round-trips through
 // the sharded store and that distinct names actually spread across stripes.
 func TestCacheShardRouting(t *testing.T) {
-	c := newCache(0)
+	c := newCache()
 	now := time.Unix(1000, 0)
 	hit := make(map[*cacheShard]bool)
 	for i := 0; i < 256; i++ {
@@ -25,11 +25,11 @@ func TestCacheShardRouting(t *testing.T) {
 		hit[c.shardFor(name)] = true
 		key := cacheKey{name: name, qtype: dnsmsg.TypeA}
 		addr := netip.AddrFrom4([4]byte{10, 0, byte(i >> 8), byte(i)})
-		c.putAnswer(now, key, answerEntry{answers: []dnsmsg.RR{dnsmsg.NewA(name, time.Minute, addr)}}, time.Minute)
+		c.putAnswer(now, key, []dnsmsg.RR{dnsmsg.NewA(name, time.Minute, addr)}, 0, dnsmsg.RCodeNoError, time.Minute)
 		c.putDelegation(now, name, []dnsmsg.Name{"ns." + name}, time.Minute)
 		c.putHostAddr(now, name, addr, time.Minute)
 
-		if e, ok := c.getAnswer(now, key); !ok || len(e.answers) != 1 {
+		if _, answers, _, ok := c.getAnswer(now, key); !ok || len(answers) != 1 {
 			t.Fatalf("answer for %s missing after put", name)
 		}
 		if hosts, ok := c.getDelegation(now, name); !ok || len(hosts) != 1 {
@@ -47,7 +47,7 @@ func TestCacheShardRouting(t *testing.T) {
 // TestCacheLenAcrossShards checks the Len sum is consistent with the
 // number of live entries spread over all stripes, including expiry.
 func TestCacheLenAcrossShards(t *testing.T) {
-	c := newCache(0)
+	c := newCache()
 	now := time.Unix(1000, 0)
 	const n = 100
 	for i := 0; i < n; i++ {
@@ -74,7 +74,7 @@ func TestCacheLenAcrossShards(t *testing.T) {
 // closestDelegation from many goroutines. The race detector covers the
 // striping; the value checks cover torn reads.
 func TestCacheConcurrentStress(t *testing.T) {
-	c := newCache(0)
+	c := newCache()
 	now := time.Unix(1000, 0)
 	addrOf := func(i int) netip.Addr {
 		return netip.AddrFrom4([4]byte{10, 1, byte(i >> 8), byte(i)})
@@ -104,12 +104,12 @@ func TestCacheConcurrentStress(t *testing.T) {
 				name := cacheTestName(i)
 				key := cacheKey{name: name, qtype: dnsmsg.TypeA}
 				want := addrOf(i)
-				c.putAnswer(now, key, answerEntry{answers: []dnsmsg.RR{dnsmsg.NewA(name, time.Minute, want)}}, time.Minute)
+				c.putAnswer(now, key, []dnsmsg.RR{dnsmsg.NewA(name, time.Minute, want)}, 0, dnsmsg.RCodeNoError, time.Minute)
 				c.putDelegation(now, name, []dnsmsg.Name{"ns." + name}, time.Minute)
 				c.putHostAddr(now, name, want, time.Minute)
-				if e, ok := c.getAnswer(now, key); ok {
-					if len(e.answers) != 1 || e.answers[0].Data.(dnsmsg.AData).Addr != want {
-						t.Errorf("torn answer for %s: %+v", name, e)
+				if _, answers, _, ok := c.getAnswer(now, key); ok {
+					if len(answers) != 1 || answers[0].Data.(dnsmsg.AData).Addr != want {
+						t.Errorf("torn answer for %s: %+v", name, answers)
 						return
 					}
 				}

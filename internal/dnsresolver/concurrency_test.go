@@ -1,16 +1,12 @@
 package dnsresolver
 
 import (
-	"errors"
-	"fmt"
-	"math/rand"
 	"net/netip"
 	"sync"
 	"testing"
 	"time"
 
 	"rrdps/internal/dnsmsg"
-	"rrdps/internal/netsim"
 )
 
 // TestConcurrentResolves hammers one resolver from many goroutines; the
@@ -137,43 +133,5 @@ func TestConcurrentZoneMutationDuringResolve(t *testing.T) {
 	}
 	time.Sleep(10 * time.Millisecond)
 	close(stop)
-	wg.Wait()
-}
-
-// TestConcurrentResolveUnderEviction resolves concurrently through a
-// cache bounded to one entry per stripe, with no purge at all: the fresh
-// names keep evicting, so a referral's glue can leave the cache before
-// the walk reads it back. The walk must still reach the servers the
-// referral named; falling back to a nested resolve of an in-bailiwick
-// nameserver is circular and ends in SERVFAIL.
-func TestConcurrentResolveUnderEviction(t *testing.T) {
-	f := newFixture(t)
-	r := New(Config{
-		Network:       f.net,
-		Clock:         f.clock,
-		Addr:          netip.MustParseAddr("198.51.100.55"),
-		Region:        netsim.RegionOregon,
-		Roots:         []netip.Addr{f.rootAddr},
-		Rand:          rand.New(rand.NewSource(9)),
-		CacheCapacity: cacheShards,
-	})
-	var wg sync.WaitGroup
-	for i := 0; i < 16; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			for j := 0; j < 60; j++ {
-				if _, err := r.Resolve("www.example.com", dnsmsg.TypeA); err != nil {
-					t.Errorf("resolve www.example.com: %v", err)
-					return
-				}
-				fresh := dnsmsg.Name(fmt.Sprintf("x%d-%d.example.com", i, j))
-				if _, err := r.Resolve(fresh, dnsmsg.TypeA); err != nil && !errors.Is(err, ErrNXDomain) {
-					t.Errorf("resolve %s: %v", fresh, err)
-					return
-				}
-			}
-		}(i)
-	}
 	wg.Wait()
 }

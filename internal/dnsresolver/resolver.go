@@ -46,8 +46,8 @@ type Result struct {
 	// Chain is the CNAME chain followed, in order, possibly empty.
 	Chain []dnsmsg.RR
 	// Answers holds the records of the requested type at the final name.
-	// Empty with a nil error means NODATA. The slice may be shared with
-	// the resolver's cache; callers must not mutate it.
+	// Empty with a nil error means NODATA. Chain and Answers may be shared
+	// with the resolver's cache; callers must not mutate them.
 	Answers []dnsmsg.RR
 }
 
@@ -60,32 +60,48 @@ func (r Result) FinalName() dnsmsg.Name {
 	return r.Chain[len(r.Chain)-1].Data.(dnsmsg.CNAMEData).Target
 }
 
-// Addrs extracts the IPv4 addresses from A answers.
+// Addrs extracts the IPv4 addresses from A answers; nil when there are
+// none.
 func (r Result) Addrs() []netip.Addr {
-	var out []netip.Addr
-	for _, rr := range r.Answers {
-		if a, ok := rr.Data.(dnsmsg.AData); ok {
-			out = append(out, a.Addr)
-		}
-	}
-	return out
+	return extract(r.Answers, func(d dnsmsg.RData) (netip.Addr, bool) {
+		a, ok := d.(dnsmsg.AData)
+		return a.Addr, ok
+	})
 }
 
 // CNAMETargets extracts the alias targets in chain order.
 func (r Result) CNAMETargets() []dnsmsg.Name {
-	var out []dnsmsg.Name
-	for _, rr := range r.Chain {
-		out = append(out, rr.Data.(dnsmsg.CNAMEData).Target)
-	}
-	return out
+	return extract(r.Chain, func(d dnsmsg.RData) (dnsmsg.Name, bool) {
+		c, ok := d.(dnsmsg.CNAMEData)
+		return c.Target, ok
+	})
 }
 
-// NSHosts extracts nameserver hostnames from NS answers.
+// NSHosts extracts nameserver hostnames from NS answers; nil when there
+// are none.
 func (r Result) NSHosts() []dnsmsg.Name {
-	var out []dnsmsg.Name
-	for _, rr := range r.Answers {
-		if ns, ok := rr.Data.(dnsmsg.NSData); ok {
-			out = append(out, ns.Host)
+	return extract(r.Answers, func(d dnsmsg.RData) (dnsmsg.Name, bool) {
+		ns, ok := d.(dnsmsg.NSData)
+		return ns.Host, ok
+	})
+}
+
+// extract returns the values pick finds in rrs' payloads, in one
+// exact-sized slice, or nil when it finds none.
+func extract[T any](rrs []dnsmsg.RR, pick func(dnsmsg.RData) (T, bool)) []T {
+	n := 0
+	for _, rr := range rrs {
+		if _, ok := pick(rr.Data); ok {
+			n++
+		}
+	}
+	if n == 0 {
+		return nil
+	}
+	out := make([]T, 0, n)
+	for _, rr := range rrs {
+		if v, ok := pick(rr.Data); ok {
+			out = append(out, v)
 		}
 	}
 	return out
@@ -110,11 +126,6 @@ type Config struct {
 	// attempt per candidate server, no sidelining) — the pre-resilience
 	// behaviour. The campaign runners install DefaultPolicy instead.
 	Policy *Policy
-	// CacheCapacity bounds the cache's total entry count; past it, the
-	// least-recently-used entries are evicted. Zero means unbounded — the
-	// historical behaviour, which campaigns whose reports carry query
-	// counts rely on (eviction changes which queries go upstream).
-	CacheCapacity int
 }
 
 // Resolver is an iterative resolver with cache. Safe for concurrent use.
@@ -138,9 +149,9 @@ type resolveFrame struct {
 	addrs   []netip.Addr
 	// glue is the current referral's Additional-section addresses. The
 	// walk reads them from here rather than back out of the shared cache,
-	// where a concurrent PurgeCache or an LRU eviction can drop them in
-	// between — and without glue, an in-bailiwick nameserver's nested
-	// resolve is circular and ends in SERVFAIL.
+	// where a concurrent PurgeCache can drop them in between — and
+	// without glue, an in-bailiwick nameserver's nested resolve is
+	// circular and ends in SERVFAIL.
 	glue []glueAddr
 }
 
@@ -186,7 +197,7 @@ func New(cfg Config) *Resolver {
 		client: client,
 		clock:  cfg.Clock,
 		roots:  append([]netip.Addr(nil), cfg.Roots...),
-		cache:  newCache(cfg.CacheCapacity),
+		cache:  newCache(),
 		negTTL: 15 * time.Minute,
 	}
 }
@@ -207,8 +218,9 @@ func (r *Resolver) Health() *Health { return r.client.Health() }
 // The measurement loops call it at pass boundaries.
 func (r *Resolver) Checkpoint() { r.client.Checkpoint() }
 
-// PurgeCache empties the resolver's cache. The paper's collector does this
-// before every daily snapshot so consecutive measurements are independent.
+// PurgeCache empties the resolver's cache, releasing the cached records.
+// The paper's collector does this before every daily snapshot so
+// consecutive measurements are independent.
 func (r *Resolver) PurgeCache() { r.cache.Purge() }
 
 // CacheLen returns the number of live cache entries.
@@ -232,32 +244,32 @@ func (r *Resolver) resolve(sc *resolveScratch, name dnsmsg.Name, qtype dnsmsg.Ty
 	cur := name
 	for hop := 0; hop <= maxCNAMEHops; hop++ {
 		key := cacheKey{name: cur, qtype: qtype}
-		if e, ok := r.cache.getAnswer(now, key); ok {
-			res.Chain = append(res.Chain, e.chain...)
-			res.Answers = e.answers
-			if e.rcode == dnsmsg.RCodeNXDomain {
+		if chain, answers, rcode, ok := r.cache.getAnswer(now, key); ok {
+			res.Chain = extendChain(res.Chain, chain)
+			res.Answers = answers
+			if rcode == dnsmsg.RCodeNXDomain {
 				return res, fmt.Errorf("resolving %s %s (cached): %w", name, qtype, ErrNXDomain)
 			}
 			// A cached bare CNAME (no final answers) still needs chasing.
-			if len(e.answers) == 0 && len(e.chain) > 0 {
+			if len(answers) == 0 && len(chain) > 0 {
 				cur = res.FinalName()
 				continue
 			}
 			return res, nil
 		}
 
-		chain, answers, rcode, negTTL, err := r.iterate(sc, cur, qtype, depth)
+		kept, nchain, rcode, negTTL, err := r.iterate(sc, cur, qtype, depth)
 		if err != nil {
 			return res, fmt.Errorf("resolving %s %s: %w", name, qtype, err)
 		}
+		chain, answers := splitKept(kept, nchain)
 		if rcode == dnsmsg.RCodeNXDomain {
-			r.cache.putAnswer(now, key, answerEntry{rcode: rcode}, negTTL)
-			res.Chain = append(res.Chain, chain...)
+			r.cache.putAnswer(now, key, nil, 0, rcode, negTTL)
+			res.Chain = extendChain(res.Chain, chain)
 			return res, fmt.Errorf("resolving %s %s: %w", name, qtype, ErrNXDomain)
 		}
 
-		ttl := minTTL2(chain, answers, r.negTTL)
-		r.cache.putAnswer(now, key, answerEntry{chain: chain, answers: answers}, ttl)
+		r.cache.putAnswer(now, key, kept, nchain, rcode, minTTL(kept, r.negTTL))
 		// Feed A answers into the host-address cache for NS resolution.
 		for _, rr := range answers {
 			if a, ok := rr.Data.(dnsmsg.AData); ok {
@@ -265,7 +277,7 @@ func (r *Resolver) resolve(sc *resolveScratch, name dnsmsg.Name, qtype dnsmsg.Ty
 			}
 		}
 
-		res.Chain = append(res.Chain, chain...)
+		res.Chain = extendChain(res.Chain, chain)
 		res.Answers = answers
 		if len(answers) == 0 && len(chain) > 0 && qtype != dnsmsg.TypeCNAME {
 			// Bare alias: restart at the target.
@@ -278,12 +290,12 @@ func (r *Resolver) resolve(sc *resolveScratch, name dnsmsg.Name, qtype dnsmsg.Ty
 }
 
 // iterate walks delegations from the closest cached cut (or the roots)
-// until an authoritative answer for (name, qtype) arrives. It returns the
-// CNAME chain seen in the final answer, the answers of qtype, the response
+// until an authoritative answer for (name, qtype) arrives. It returns what
+// the cache keeps of the final answer (see keptAnswers), the response
 // code, and the negative-caching TTL (from the authority SOA per RFC
-// 2308, falling back to the resolver default). The returned slices are
-// freshly allocated (they outlive the scratch); everything transient lives
-// in sc's frame for this depth.
+// 2308, falling back to the resolver default). The kept slice is the
+// walk's only allocation that outlives it; everything transient lives in
+// sc's frame for this depth.
 //
 // The descent is qname-minimized (RFC 7816): each zone cut is discovered
 // with a probe for the child name's NS RRset at the parent's servers,
@@ -296,7 +308,7 @@ func (r *Resolver) resolve(sc *resolveScratch, name dnsmsg.Name, qtype dnsmsg.Ty
 // With the old full-qname descent, a cold cache issued per-name ancestor
 // queries a warm cache never sent, and their independent fault fates made
 // serial and parallel campaigns diverge.
-func (r *Resolver) iterate(sc *resolveScratch, name dnsmsg.Name, qtype dnsmsg.Type, depth int) (chain, answers []dnsmsg.RR, rcode dnsmsg.RCode, negTTL time.Duration, err error) {
+func (r *Resolver) iterate(sc *resolveScratch, name dnsmsg.Name, qtype dnsmsg.Type, depth int) (kept []dnsmsg.RR, nchain int, rcode dnsmsg.RCode, negTTL time.Duration, err error) {
 	f := &sc.frames[depth]
 	now := r.clock.Now()
 	f.glue = f.glue[:0]
@@ -317,36 +329,32 @@ func (r *Resolver) iterate(sc *resolveScratch, name dnsmsg.Name, qtype dnsmsg.Ty
 		child := nextLabel(zone, name)
 		resp, ok := r.queryAny(&f.ex, servers, child, dnsmsg.TypeNS)
 		if !ok {
-			return nil, nil, 0, 0, fmt.Errorf("no server for %s answered: %w", child, ErrServFail)
+			return nil, 0, 0, 0, fmt.Errorf("no server for %s answered: %w", child, ErrServFail)
 		}
 		switch resp.Header.RCode {
 		case dnsmsg.RCodeNoError:
 			// fallthrough below
 		case dnsmsg.RCodeNXDomain:
 			// RFC 8020: NXDOMAIN at an ancestor denies the whole subtree.
-			return nil, nil, dnsmsg.RCodeNXDomain, r.negativeTTL(resp), nil
+			return nil, 0, dnsmsg.RCodeNXDomain, r.negativeTTL(resp), nil
 		default:
-			return nil, nil, 0, 0, fmt.Errorf("server answered %s for %s: %w", resp.Header.RCode, child, ErrServFail)
+			return nil, 0, 0, 0, fmt.Errorf("server answered %s for %s: %w", resp.Header.RCode, child, ErrServFail)
 		}
 
 		// A cut at child arrives as a referral from the parent side, or as
 		// an authoritative NS answer when the queried server happens to
 		// host the child zone too (provider fleets serving both).
-		nsSet := refNS(resp)
-		if len(nsSet) == 0 {
-			nsSet = finalAnswers(resp.Answers, dnsmsg.TypeNS)
+		ttl := f.nsHosts(resp.Authority)
+		if len(f.hosts) == 0 {
+			ttl = f.nsHosts(resp.Answers)
 		}
-		if len(nsSet) == 0 {
+		if len(f.hosts) == 0 {
 			// NODATA or an alias at child: no cut there, the current
 			// servers stay authoritative one label deeper.
 			zone = child
 			continue
 		}
-		f.hosts = f.hosts[:0]
-		for _, rr := range nsSet {
-			f.hosts = append(f.hosts, rr.Data.(dnsmsg.NSData).Host)
-		}
-		r.cache.putDelegation(now, child, f.hosts, minTTL(nsSet, r.negTTL))
+		r.cache.putDelegation(now, child, f.hosts, ttl)
 		f.glue = f.glue[:0]
 		for _, rr := range resp.Additional {
 			if a, ok := rr.Data.(dnsmsg.AData); ok {
@@ -362,32 +370,35 @@ func (r *Resolver) iterate(sc *resolveScratch, name dnsmsg.Name, qtype dnsmsg.Ty
 		// before the next read.
 		next := r.hostAddrs(sc, f.hosts, depth)
 		if len(next) == 0 {
-			return nil, nil, 0, 0, fmt.Errorf("no reachable nameserver for %s: %w", child, ErrServFail)
+			return nil, 0, 0, 0, fmt.Errorf("no reachable nameserver for %s: %w", child, ErrServFail)
 		}
 		zone, servers = child, next
 	}
 	if zone != name {
-		return nil, nil, 0, 0, fmt.Errorf("referral limit for %s: %w", name, ErrServFail)
+		return nil, 0, 0, 0, fmt.Errorf("referral limit for %s: %w", name, ErrServFail)
 	}
 
 	// The full question goes only to the name's own authoritative servers.
 	resp, ok := r.queryAny(&f.ex, servers, name, qtype)
 	if !ok {
-		return nil, nil, 0, 0, fmt.Errorf("no server for %s answered: %w", name, ErrServFail)
+		return nil, 0, 0, 0, fmt.Errorf("no server for %s answered: %w", name, ErrServFail)
 	}
 	switch resp.Header.RCode {
 	case dnsmsg.RCodeNoError:
 		// fallthrough below
 	case dnsmsg.RCodeNXDomain:
-		return splitChain(resp.Answers, name, qtype), nil, dnsmsg.RCodeNXDomain, r.negativeTTL(resp), nil
+		// Only the chain leading to the missing name is kept.
+		kept, nchain = keptAnswers(resp.Answers, name, qtype)
+		return kept[:nchain], nchain, dnsmsg.RCodeNXDomain, r.negativeTTL(resp), nil
 	default:
-		return nil, nil, 0, 0, fmt.Errorf("server answered %s for %s: %w", resp.Header.RCode, name, ErrServFail)
+		return nil, 0, 0, 0, fmt.Errorf("server answered %s for %s: %w", resp.Header.RCode, name, ErrServFail)
 	}
 	if len(resp.Answers) > 0 {
-		return splitChain(resp.Answers, name, qtype), finalAnswers(resp.Answers, qtype), dnsmsg.RCodeNoError, r.negTTL, nil
+		kept, nchain = keptAnswers(resp.Answers, name, qtype)
+		return kept, nchain, dnsmsg.RCodeNoError, r.negTTL, nil
 	}
 	// Authoritative NODATA.
-	return nil, nil, dnsmsg.RCodeNoError, r.negativeTTL(resp), nil
+	return nil, 0, dnsmsg.RCodeNoError, r.negativeTTL(resp), nil
 }
 
 // nextLabel returns the ancestor of name exactly one label below zone —
@@ -484,51 +495,99 @@ func (r *Resolver) hostAddrs(sc *resolveScratch, hosts []dnsmsg.Name, depth int)
 	return out
 }
 
-// splitChain extracts the CNAME records from an answer section in chain
-// order starting at qname.
-func splitChain(answers []dnsmsg.RR, qname dnsmsg.Name, qtype dnsmsg.Type) []dnsmsg.RR {
-	if qtype == dnsmsg.TypeCNAME {
-		return nil
-	}
-	var chain []dnsmsg.RR
-	cur := qname
-	for i := 0; i < len(answers)+1; i++ {
-		found := false
-		for _, rr := range answers {
-			if rr.Name == cur && rr.Type() == dnsmsg.TypeCNAME {
-				chain = append(chain, rr)
-				cur = rr.Data.(dnsmsg.CNAMEData).Target
-				found = true
-				break
+// nsHosts fills the frame's hosts with the NS targets in rrs and returns
+// their smallest TTL.
+func (f *resolveFrame) nsHosts(rrs []dnsmsg.RR) time.Duration {
+	f.hosts = f.hosts[:0]
+	var ttl time.Duration
+	for _, rr := range rrs {
+		if ns, ok := rr.Data.(dnsmsg.NSData); ok {
+			if len(f.hosts) == 0 || rr.TTL < ttl {
+				ttl = rr.TTL
 			}
+			f.hosts = append(f.hosts, ns.Host)
 		}
-		if !found {
+	}
+	return ttl
+}
+
+// keptAnswers copies what the cache keeps of an answer section into one
+// exact-sized array: the CNAME chain from qname, in chain order, then the
+// records of qtype. It returns nil when there is neither, and the chain's
+// length.
+func keptAnswers(section []dnsmsg.RR, qname dnsmsg.Name, qtype dnsmsg.Type) (kept []dnsmsg.RR, nchain int) {
+	nchain = chainLen(section, qname, qtype)
+	n := nchain
+	for _, rr := range section {
+		if rr.Type() == qtype {
+			n++
+		}
+	}
+	if n == 0 {
+		return nil, 0
+	}
+	kept = make([]dnsmsg.RR, 0, n)
+	for cur := qname; len(kept) < nchain; {
+		rr, _ := cnameAt(section, cur)
+		kept = append(kept, rr)
+		cur = rr.Data.(dnsmsg.CNAMEData).Target
+	}
+	for _, rr := range section {
+		if rr.Type() == qtype {
+			kept = append(kept, rr)
+		}
+	}
+	return kept, nchain
+}
+
+// chainLen returns the length of the CNAME chain from qname in section. A
+// looping chain is cut after len(section)+1 links. A CNAME question has no
+// chain: its CNAME is the answer.
+func chainLen(section []dnsmsg.RR, qname dnsmsg.Name, qtype dnsmsg.Type) int {
+	if qtype == dnsmsg.TypeCNAME {
+		return 0
+	}
+	n := 0
+	for cur := qname; n <= len(section); n++ {
+		rr, ok := cnameAt(section, cur)
+		if !ok {
 			break
 		}
+		cur = rr.Data.(dnsmsg.CNAMEData).Target
 	}
-	return chain
+	return n
 }
 
-// finalAnswers returns the records of qtype from an answer section.
-func finalAnswers(answers []dnsmsg.RR, qtype dnsmsg.Type) []dnsmsg.RR {
-	var out []dnsmsg.RR
-	for _, rr := range answers {
-		if rr.Type() == qtype {
-			out = append(out, rr)
+// cnameAt returns the first CNAME record owned by name in section.
+func cnameAt(section []dnsmsg.RR, name dnsmsg.Name) (dnsmsg.RR, bool) {
+	for _, rr := range section {
+		if rr.Name == name && rr.Type() == dnsmsg.TypeCNAME {
+			return rr, true
 		}
 	}
-	return out
+	return dnsmsg.RR{}, false
 }
 
-// refNS extracts the NS records of a referral's authority section.
-func refNS(resp *dnsmsg.Message) []dnsmsg.RR {
-	var out []dnsmsg.RR
-	for _, rr := range resp.Authority {
-		if rr.Type() == dnsmsg.TypeNS {
-			out = append(out, rr)
-		}
+// splitKept splits a kept array into its chain and answers, each
+// capacity-limited so that an append copies instead of writing into the
+// other (or into the cache). Empty parts are nil.
+func splitKept(kept []dnsmsg.RR, nchain int) (chain, answers []dnsmsg.RR) {
+	if nchain > 0 {
+		chain = kept[:nchain:nchain]
 	}
-	return out
+	if nchain < len(kept) {
+		answers = kept[nchain:len(kept):len(kept)]
+	}
+	return chain, answers
+}
+
+// extendChain appends more to chain. An empty chain takes more as is:
+// kept chains are capacity-limited, so a later append copies them.
+func extendChain(chain, more []dnsmsg.RR) []dnsmsg.RR {
+	if len(chain) == 0 {
+		return more
+	}
+	return append(chain, more...)
 }
 
 // minTTL returns the smallest TTL among rrs, or fallback when rrs is empty.
@@ -543,20 +602,4 @@ func minTTL(rrs []dnsmsg.RR, fallback time.Duration) time.Duration {
 		}
 	}
 	return min
-}
-
-// minTTL2 returns the smallest TTL across both slices, or fallback when
-// both are empty — minTTL without concatenating first.
-func minTTL2(a, b []dnsmsg.RR, fallback time.Duration) time.Duration {
-	switch {
-	case len(a) == 0:
-		return minTTL(b, fallback)
-	case len(b) == 0:
-		return minTTL(a, fallback)
-	}
-	ta, tb := minTTL(a, fallback), minTTL(b, fallback)
-	if ta < tb {
-		return ta
-	}
-	return tb
 }

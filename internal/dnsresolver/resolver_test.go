@@ -411,3 +411,31 @@ func TestNegativeTTLFromSOA(t *testing.T) {
 		t.Fatal("negative entry survived past the SOA minimum")
 	}
 }
+
+// TestEmptyExtractsAreNil: NXDOMAIN and NODATA results extract nil
+// address and host slices, not empty ones.
+func TestEmptyExtractsAreNil(t *testing.T) {
+	f := newFixture(t)
+	for _, q := range []struct {
+		name  dnsmsg.Name
+		qtype dnsmsg.Type
+	}{
+		{"missing.example.com", dnsmsg.TypeA},  // NXDOMAIN
+		{"missing.example.com", dnsmsg.TypeNS}, // NXDOMAIN
+		{"www.example.com", dnsmsg.TypeNS},     // NODATA
+		{"example.com", dnsmsg.TypeA},          // NODATA
+	} {
+		for pass := 0; pass < 2; pass++ { // cold, then cached
+			res, err := f.resolver.Resolve(q.name, q.qtype)
+			if err != nil && !errors.Is(err, ErrNXDomain) {
+				t.Fatalf("Resolve(%s, %s): %v", q.name, q.qtype, err)
+			}
+			if addrs := res.Addrs(); addrs != nil {
+				t.Errorf("Resolve(%s, %s) pass %d: Addrs() = %#v, want nil", q.name, q.qtype, pass, addrs)
+			}
+			if hosts := res.NSHosts(); hosts != nil {
+				t.Errorf("Resolve(%s, %s) pass %d: NSHosts() = %#v, want nil", q.name, q.qtype, pass, hosts)
+			}
+		}
+	}
+}

@@ -14,6 +14,7 @@ import (
 	"sort"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"rrdps/internal/dnsmsg"
@@ -79,6 +80,10 @@ type Zone struct {
 	owners map[dnsmsg.Name]owner // every node of the zone tree, the origin included
 	soa    dnsmsg.SOAData        // boxed into a record, with the current serial, on demand
 	serial uint32
+	// soaBox holds the last SOA payload boxed for a response, as an
+	// RData. Every mutation bumps the serial, which makes it stale.
+	// Lookups fill it under the read lock, so it is atomic.
+	soaBox atomic.Value
 }
 
 // owner is one node of the zone tree. Its records sit in one slice,
@@ -135,10 +140,19 @@ func (z *Zone) SOA() dnsmsg.RR {
 	return z.soaLocked()
 }
 
+// soaLocked returns the SOA record with the current serial. Its payload
+// is boxed once per serial, not once per negative answer.
 func (z *Zone) soaLocked() dnsmsg.RR {
+	rr := dnsmsg.RR{Name: z.origin, Class: dnsmsg.ClassIN, TTL: soaTTL}
+	if box, ok := z.soaBox.Load().(dnsmsg.RData); ok && box.(dnsmsg.SOAData).Serial == z.serial {
+		rr.Data = box
+		return rr
+	}
 	data := z.soa
 	data.Serial = z.serial
-	return dnsmsg.RR{Name: z.origin, Class: dnsmsg.ClassIN, TTL: soaTTL, Data: data}
+	rr.Data = data
+	z.soaBox.Store(rr.Data)
+	return rr
 }
 
 // contains reports whether name belongs to this zone's namespace.

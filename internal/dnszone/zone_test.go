@@ -261,3 +261,30 @@ func TestResultKindString(t *testing.T) {
 		}
 	}
 }
+
+// TestNegativeAnswerSOABoxedOncePerSerial: repeated NODATA and NXDOMAIN
+// lookups share one boxed SOA payload and allocate nothing, and a
+// mutation's serial bump shows in the next negative answer.
+func TestNegativeAnswerSOABoxedOncePerSerial(t *testing.T) {
+	z := newTestZone(t)
+	z.MustAdd(dnsmsg.NewA("www.example.com", time.Minute, addr("10.0.0.1")))
+	var res Result
+	for _, q := range []dnsmsg.Name{"www.example.com", "missing.example.com"} {
+		z.LookupInto(q, dnsmsg.TypeNS, &res)
+		allocs := testing.AllocsPerRun(50, func() { z.LookupInto(q, dnsmsg.TypeNS, &res) })
+		if allocs != 0 {
+			t.Errorf("negative lookup of %s: %.2f allocs/op, want 0", q, allocs)
+		}
+		if got := res.SOA.Data.(dnsmsg.SOAData).Serial; got != z.Serial() {
+			t.Errorf("negative lookup of %s: SOA serial %d, zone serial %d", q, got, z.Serial())
+		}
+	}
+	z.MustAdd(dnsmsg.NewA("www.example.com", time.Minute, addr("10.0.0.2")))
+	z.LookupInto("www.example.com", dnsmsg.TypeNS, &res)
+	if got := res.SOA.Data.(dnsmsg.SOAData).Serial; got != z.Serial() {
+		t.Errorf("after a mutation: SOA serial %d, zone serial %d", got, z.Serial())
+	}
+	if res.SOA != z.SOA() {
+		t.Errorf("negative answer SOA %v, zone SOA %v", res.SOA, z.SOA())
+	}
+}
